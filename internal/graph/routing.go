@@ -12,10 +12,11 @@ import (
 // PortOffsets()[v] + i - 1, and the ports of node v occupy the half-open
 // range [PortOffsets()[v], PortOffsets()[v+1]). The routing table maps
 // every global port index to the global index of its involution partner,
-// so a flat outbox written in global port order is routed into a flat
-// inbox with a single gather: inbox[j] = outbox[RoutingTable()[j]].
-// Because p is an involution the table is a self-inverse permutation;
-// directed loops are its fixed points.
+// so a message written to a flat outbox at global port j is delivered by
+// one store into a flat inbox: inbox[RoutingTable()[j]] = outbox[j].
+// Because p is an involution the table is a self-inverse permutation —
+// every inbox slot has exactly one sender — and directed loops are its
+// fixed points.
 //
 // Both slices are computed once per graph and cached; callers must treat
 // them as read-only.

@@ -236,13 +236,28 @@ func TestClusterOwnerRouting(t *testing.T) {
 // and nothing surfaces to the client as an error.
 func TestClusterOwnerDownFallback(t *testing.T) {
 	f := startFleet(t, 3, func(i int, cfg *Config, ccfg *cluster.Config) {
-		// No active probes: this test exercises the passive mark-down on
-		// fill failure, not the health loop.
+		// No periodic probes: this test exercises the passive mark-down
+		// on fill failure, not the health loop.
 		ccfg.HealthInterval = time.Hour
 	})
 	g := f.graphOwnedBy(t, 2)
 	body := graphBytes(t, g)
 
+	// The health loop still probes every peer once at start. Let both
+	// survivors finish that probe of the owner before it dies, or the
+	// probe may see the dead owner first and mark it down, so no fill
+	// is ever sent.
+	for _, i := range []int{0, 1} {
+		cl := f.clusters[i]
+		waitFor(t, func() bool {
+			for _, ps := range cl.Snapshot() {
+				if ps.URL == f.urls[2] {
+					return !ps.LastEvent.IsZero()
+				}
+			}
+			return false
+		})
+	}
 	f.ts[2].Close() // the owner dies
 
 	for i := 0; i < 2; i++ {

@@ -8,9 +8,9 @@ import (
 )
 
 // runState is the engine-owned per-execution state: the node slice, the
-// per-node retirement flags, the flat double-buffered message arrays of
-// the routing-table engines, and the per-shard coordination state of the
-// sharded engine. It is recycled through a sync.Pool so that repeated
+// per-node retirement flags, the flat outbox and inbox of the round
+// loop with its per-shard delivery lists, and the per-shard
+// coordination state. It is recycled through a sync.Pool so that repeated
 // runs — the edsd serving pattern of many requests over same-shape
 // graphs — allocate nothing beyond the algorithm's own node state: an
 // acquired state whose slices already have the required capacity is
@@ -31,24 +31,32 @@ type runState struct {
 	buffered []BufferedNode // buffered[v] != nil iff nodes[v] has the SendInto fast path
 	done     []bool
 	outbox   []Message // flat send buffer, indexed by global port
-	inbox    []Message // flat receive buffer, gathered through the routing table
+	inbox    []Message // flat receive buffer: inbox[route[j]] is written when outbox[j] is sent
 	stats    []shardStat
 	bounds   []int
 	hookView [][]Message // per-node outbox windows, built only for hooked runs
 
-	// arenas[s] is shard s's StateArena (index 0 for the unsharded
-	// engines). The chunks persist across pooled runs — acquireState only
+	// delivered holds each shard's delivery list: the global ports j
+	// whose outbox[j] carried a message in the shard's last send phase.
+	// Shard s's list lives in the shard's own port range,
+	// delivered[off[lo]:off[lo]+stats[s].sent], so the lists cost one
+	// int32 per port and never grow. The next send phase sets exactly
+	// those outbox[j] and inbox[route[j]] back to nil.
+	delivered []int32
+
+	// arenas[s] is shard s's StateArena (index 0 for the concurrent
+	// engine). The chunks persist across pooled runs — acquireState only
 	// rewinds the cursors — so bulk-built node state stops allocating
 	// once a workload's shape has been seen. Held as a slice of values,
 	// one per worker, so parallel construction needs no locks.
 	arenas []StateArena
 
-	// Sharded-engine phase coordination, reused across runs because a
-	// channel cannot be closed and recycled: stop tokens, not close,
-	// end a worker pool. Each worker owns one token channel — a shared
-	// channel would let a fast worker steal a slow one's phase token and
-	// run its shard twice while the other shard never runs. Capacities
-	// are grown like the slices.
+	// Worker phase coordination for runs over p > 1 shards, reused
+	// across runs because a channel cannot be closed and recycled: stop
+	// tokens, not close, end a worker pool. Each worker owns one token
+	// channel — a shared channel would let a fast worker steal a slow
+	// one's phase token and run its shard twice while the other shard
+	// never runs. Capacities are grown like the slices.
 	work []chan int
 	idle chan struct{}
 }
@@ -56,9 +64,9 @@ type runState struct {
 // shardStat is one shard's slot of per-round accounting. Workers touch
 // only their own slot, so the phases stay race-free by construction.
 type shardStat struct {
-	sent    int   // non-nil messages this round
+	sent    int   // non-nil messages this round, the delivery list's length
 	pending int   // nodes not yet retired
-	err     error // first malformed Send (lowest node in shard)
+	err     error // first malformed Send or invalid output (lowest node in shard)
 }
 
 var statePool = sync.Pool{New: func() any { return new(runState) }}
@@ -87,7 +95,8 @@ func grow[T any](buf []T, n int) []T {
 
 // acquireState returns a runState ready for a run over n nodes and
 // ports global ports, with room for p shards (pass p = 0 for the
-// engines that do not shard). done and stats come back zeroed; the
+// concurrent engine, which has neither shards nor flat buffers). done
+// and stats come back zeroed, so every delivery list starts empty; the
 // message buffers are all-nil because release cleared them.
 func acquireState(n, ports, p int) *runState {
 	s := statePool.Get().(*runState)
@@ -97,6 +106,7 @@ func acquireState(n, ports, p int) *runState {
 	clear(s.done)
 	s.outbox = grow(s.outbox, ports)
 	s.inbox = grow(s.inbox, ports)
+	s.delivered = grow(s.delivered, ports)
 	// One arena per worker (at least one). Unlike grow, the resize must
 	// preserve the surviving elements: each arena carries chunks whose
 	// whole point is reuse across runs.
@@ -118,6 +128,8 @@ func acquireState(n, ports, p int) *runState {
 		s.stats = grow(s.stats, p)
 		clear(s.stats)
 		s.bounds = grow(s.bounds, p+1)
+	}
+	if p > 1 {
 		s.work = grow(s.work, p)
 		for i := range s.work {
 			if s.work[i] == nil {
@@ -159,9 +171,12 @@ func (s *runState) buildNodes(g *graph.Graph, a Algorithm, bulk BulkAlgorithm, l
 // release clears every reference the state holds — node pointers and
 // boxed messages — and returns it to the pool. The engines call it via
 // defer after all workers have stopped; a released state must never be
-// touched again by the run that held it. The arenas stay as they are:
-// their chunks hold only ints and bools, so they pin nothing, and
-// keeping them warm is what makes repeat construction allocation-free.
+// touched again by the run that held it. The message buffers are
+// cleared whole, not through the delivery lists, so a run that stopped
+// mid-round (an error, or a panic in node code) still hands the next
+// run all-nil buffers. The arenas stay as they are: their chunks hold
+// only ints and bools, so they pin nothing, and keeping them warm is
+// what makes repeat construction allocation-free.
 func (s *runState) release() {
 	clear(s.nodes)
 	clear(s.buffered)
@@ -188,27 +203,21 @@ func (s *runState) hookRows(off []int32, n int) [][]Message {
 }
 
 // fillSlot produces node v's outgoing messages for this round directly
-// in its outbox window and returns the non-nil message count. Nodes
-// implementing BufferedNode write into the engine-owned slot with no
-// allocation and no copy; legacy nodes go through Send and are length-
-// checked, so the malformed-send error stays byte-identical across
-// engines and both node flavours.
-func (s *runState) fillSlot(a Algorithm, v, round int, slot []Message) (int, error) {
+// in its outbox window, which arrives all-nil (the send phase has taken
+// back the previous round's messages). Nodes implementing BufferedNode
+// write into the engine-owned slot with no allocation and no copy;
+// legacy nodes go through Send and are length-checked, so the
+// malformed-send error stays byte-identical across engines and both
+// node flavours.
+func (s *runState) fillSlot(a Algorithm, v, round int, slot []Message) error {
 	if b := s.buffered[v]; b != nil {
-		clear(slot)
 		b.SendInto(round, slot)
-	} else {
-		out := s.nodes[v].Send(round)
-		if len(out) != len(slot) {
-			return 0, malformedSend(a, v, len(out), len(slot))
-		}
-		copy(slot, out)
+		return nil
 	}
-	sent := 0
-	for _, m := range slot {
-		if m != nil {
-			sent++
-		}
+	out := s.nodes[v].Send(round)
+	if len(out) != len(slot) {
+		return malformedSend(a, v, len(out), len(slot))
 	}
-	return sent, nil
+	copy(slot, out)
+	return nil
 }

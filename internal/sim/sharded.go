@@ -10,13 +10,19 @@ import (
 // at which engine auto-selection (eds.RunAuto, edsrun -engine auto, the
 // harness scaling studies) switches from the sequential reference to
 // the sharded engine. Ports, not nodes, measure the work the sharded
-// engine parallelizes — every phase (node construction, send, routing
-// gather, receive, output collection) is linear in ports — while its
+// engine parallelizes — node construction, the send phase and output
+// collection are linear in ports, delivery in messages — while its
 // overhead is per-round barriers and per-run worker spawns, which are
 // independent of graph size. An earlier node-count threshold (4096)
-// mis-ranked dense graphs small and sparse graphs large; with the
-// parallel prologue the port crossover sits in the low tens of
-// thousands on multi-core hardware.
+// mis-ranked dense graphs small and sparse graphs large.
+//
+// Measured speedup of RunSharded at P = 2 over RunSequential
+// (perfbench's sim.sharded_speedup.F in traced runs on a 2-CPU Intel
+// Xeon VM, Go 1.24): in serve-cold, over seeds 1–3, 0.78–0.88 on trees
+// of 1.6k–3.2k ports, 0.94–1.32 on 3-regular graphs of 6k–18k ports and
+// 1.06–1.44 on 4-regular graphs of 16k–32k ports; in solve-large, over
+// seeds 1–2, 1.55–1.58 on a tree of 60k ports, 1.99–2.07 on a 3-regular
+// graph of 600k ports and 2.02–2.25 on a torus of 1.96M ports.
 const AutoShardedPorts = 16384
 
 // EngineChoice is RunAuto's policy as a pure function of the run's
@@ -75,13 +81,14 @@ const (
 	phaseOutput
 )
 
-// shardedRun is the per-run coordination of the sharded engine: p
-// persistent workers spawned once at run start loop over phase tokens,
-// so a round costs channel operations only — no goroutine spawns, no
-// closures, no allocation. The coordinator writes round between
-// barriers, while every worker is parked on the work channel; the
-// channel send/receive pair orders those writes before the workers'
-// reads.
+// shardedRun is the per-run coordination of the round loop shared by
+// RunSequential and RunSharded. With one shard the coordinator runs
+// every phase inline; with p > 1 shards, p persistent workers spawned
+// once at run start loop over phase tokens, so a round costs channel
+// operations only — no goroutine spawns, no closures, no allocation.
+// The coordinator writes round between barriers, while every worker is
+// parked on the work channel; the channel send/receive pair orders
+// those writes before the workers' reads.
 type shardedRun struct {
 	st      *runState
 	g       *graph.Graph
@@ -99,33 +106,58 @@ type shardedRun struct {
 // coordinator's stop barrier doubles as the release fence for the
 // pooled buffers.
 func (r *shardedRun) worker(s int) {
-	lo, hi := r.st.bounds[s], r.st.bounds[s+1]
 	for {
-		switch <-r.st.work[s] {
-		case phaseInit:
-			r.initPhase(s, lo, hi)
-		case phaseSend:
-			r.sendPhase(s, lo, hi)
-		case phaseRecv:
-			r.recvPhase(s, lo, hi)
-		case phaseOutput:
-			r.outputPhase(s, lo, hi)
-		case phaseStop:
+		phase := <-r.st.work[s]
+		if phase == phaseStop {
 			r.st.idle <- struct{}{}
 			return
 		}
+		r.runPhase(s, phase)
 		r.st.idle <- struct{}{}
 	}
 }
 
-// barrier runs one phase on every worker and waits for all of them.
+// runPhase runs one phase on shard s.
+func (r *shardedRun) runPhase(s, phase int) {
+	lo, hi := r.st.bounds[s], r.st.bounds[s+1]
+	switch phase {
+	case phaseInit:
+		r.initPhase(s, lo, hi)
+	case phaseSend:
+		r.sendPhase(s, lo, hi)
+	case phaseRecv:
+		r.recvPhase(s, lo, hi)
+	case phaseOutput:
+		r.outputPhase(s, lo, hi)
+	}
+}
+
+// barrier runs one phase on every shard: inline on the coordinator
+// when there is a single shard, otherwise on the workers, waiting for
+// all of them.
 func (r *shardedRun) barrier(phase int) {
+	if r.p == 1 {
+		r.runPhase(0, phase)
+		return
+	}
 	for i := 0; i < r.p; i++ {
 		r.st.work[i] <- phase
 	}
 	for i := 0; i < r.p; i++ {
 		<-r.st.idle
 	}
+}
+
+// shardErr returns the first shard error in shard order. Shards are
+// contiguous ascending ranges, so that is the lowest misbehaving node:
+// the same error for every shard count.
+func (r *shardedRun) shardErr() error {
+	for s := 0; s < r.p; s++ {
+		if err := r.st.stats[s].err; err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // initPhase builds the shard's nodes when the algorithm is
@@ -157,47 +189,55 @@ func (r *shardedRun) initPhase(s, lo, hi int) {
 // outputPhase collects, sorts, and validates the shard's node outputs
 // into the coordinator's outputs slice. Ranges are disjoint and each
 // call appends to its own flat buffer, so the epilogue parallelizes
-// like the prologue; the first invalid shard in index order wins the
-// error, which — shards being contiguous ascending ranges — is the
-// same lowest-node error the sequential engine reports.
+// like the prologue.
 func (r *shardedRun) outputPhase(s, lo, hi int) {
 	if err := collectOutputsRange(r.g, r.a, r.st.nodes, lo, hi, r.outputs); err != nil {
 		r.st.stats[s].err = err
 	}
 }
 
-// sendPhase writes the shard's outbox windows and counts non-nil
-// messages. A malformed Send stops the shard at its first bad node;
-// shards are contiguous ascending ranges, so the first error in shard
-// order is the lowest misbehaving node — the same error the sequential
-// engine reports.
+// sendPhase first sets the slots the shard delivered in the previous
+// round back to nil — the only non-nil ones, so every outbox window
+// arrives all-nil and every silent port's inbox slot reads nil — then
+// writes the shard's outbox windows and delivers each non-nil message
+// at once (inbox[route[j]] = outbox[j]), listing j for the next round.
+// The inbox slots may be other shards': that is race-free because no
+// shard reads the inbox in this phase and each slot has one sender. A
+// malformed Send stops the shard at its first bad node.
 func (r *shardedRun) sendPhase(s, lo, hi int) {
 	st := r.st
+	list := st.delivered[r.off[lo]:r.off[hi]]
+	for _, j := range list[:st.stats[s].sent] {
+		st.outbox[j] = nil
+		st.inbox[r.route[j]] = nil
+	}
 	sent := 0
 	for v := lo; v < hi; v++ {
-		slot := st.outbox[r.off[v]:r.off[v+1]:r.off[v+1]]
 		if st.done[v] {
-			clear(slot)
 			continue
 		}
-		c, err := st.fillSlot(r.a, v, r.round, slot)
-		if err != nil {
+		first, end := r.off[v], r.off[v+1]
+		slot := st.outbox[first:end:end]
+		if err := st.fillSlot(r.a, v, r.round, slot); err != nil {
 			st.stats[s].err = err
 			return
 		}
-		sent += c
+		for i, m := range slot {
+			if m != nil {
+				j := first + int32(i)
+				st.inbox[r.route[j]] = m
+				list[sent] = j
+				sent++
+			}
+		}
 	}
 	st.stats[s].sent = sent
 }
 
-// recvPhase gathers the shard's inbox slots through the routing table,
-// delivers each node's contiguous inbox window, and retires nodes that
-// report Done.
+// recvPhase delivers each live node's contiguous inbox window — already
+// filled by the send phase — and retires nodes that report Done.
 func (r *shardedRun) recvPhase(s, lo, hi int) {
 	st := r.st
-	for j := int(r.off[lo]); j < int(r.off[hi]); j++ {
-		st.inbox[j] = st.outbox[r.route[j]]
-	}
 	pending := 0
 	for v := lo; v < hi; v++ {
 		if st.done[v] {
@@ -218,48 +258,52 @@ func (r *shardedRun) recvPhase(s, lo, hi int) {
 // balanced by port count; each round runs two phases separated by a
 // channel barrier:
 //
-//	send:    every shard writes its nodes' outgoing messages into a flat
-//	         outbox indexed by global port number and counts them;
-//	receive: every shard gathers its inbox slots through the routing
-//	         table (inbox[j] = outbox[route[j]]), delivers each node's
-//	         contiguous inbox slice, and retires nodes that report Done.
+//	send:    every shard sets its previous round's delivered slots back
+//	         to nil, writes its nodes' outgoing messages into a flat
+//	         outbox indexed by global port number, and delivers each
+//	         non-nil one into its partner's inbox slot, listing the port;
+//	receive: every shard hands each live node its contiguous inbox
+//	         slice and retires nodes that report Done.
 //
-// The prologue and epilogue are parallel too: bulk-capable algorithms
-// (BulkAlgorithm) have each shard's nodes built inside that shard's
-// persistent worker, state carved from a per-shard StateArena, and each
-// shard collects and validates its own outputs, so setup and teardown
-// scale with P instead of serializing around the round loop.
+// A silent port is never touched, so a round costs O(messages), not
+// O(ports), outside the nodes themselves. The prologue and epilogue
+// are parallel too: bulk-capable algorithms (BulkAlgorithm) have each
+// shard's nodes built by that shard's worker from a per-shard
+// StateArena, and each shard collects and validates its own outputs.
 //
-// The two flat arrays, the node and retirement slices, and the shard
-// accounting all come from a pooled runState, and the P workers persist
+// All buffers come from a pooled runState and the P workers persist
 // for the whole run, so a steady-state round performs zero allocations:
-// nodes implementing BufferedNode write their messages straight into
-// the outbox (see fillSlot), and the barriers are plain channel
-// operations. Results are bit-identical to RunSequential for every
-// shard count.
+// BufferedNode nodes write straight into the outbox (see fillSlot), and
+// the barriers are plain channel operations. With P = 1 the phases run
+// inline, exactly as in RunSequential; results are bit-identical to
+// RunSequential for every shard count.
 //
 // WithRoundHook is honoured: the hook observes the flat outbox through
-// per-node subslices, invoked between the send and receive barriers
-// where no worker goroutine is running, so it sees exactly the matrix
-// the sequential engine would show (retired nodes' slots are nil).
+// per-node subslices between the send and receive phases, where no
+// worker is running (retired nodes' slots are nil).
 func RunSharded(g *graph.Graph, a Algorithm, opts ...Option) (*Result, error) {
 	c := buildConfig(opts)
-	if err := c.ctxErr(a); err != nil {
-		return nil, err
-	}
-	n := g.N()
 	p := c.shards
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
 	}
-	if p > n {
-		p = n
+	if p > g.N() {
+		p = g.N()
 	}
 	if p < 1 {
 		p = 1
 	}
+	return runShards(g, a, p, &c)
+}
 
-	clk := startClock(&c)
+// runShards is the one round loop behind RunSequential and RunSharded:
+// the run over p shards, the phases inline when p is 1.
+func runShards(g *graph.Graph, a Algorithm, p int, c *config) (*Result, error) {
+	if err := c.ctxErr(a); err != nil {
+		return nil, err
+	}
+	n := g.N()
+	clk := startClock(c)
 	st := acquireState(n, g.NumPorts(), p)
 	// Release only after the workers have stopped: defers run in LIFO
 	// order, so the stop barrier deferred below fences every worker off
@@ -278,18 +322,18 @@ func RunSharded(g *graph.Graph, a Algorithm, opts ...Option) (*Result, error) {
 			return nil, err
 		}
 	}
-	for s := 0; s < p; s++ {
-		go r.worker(s)
+	if p > 1 {
+		for s := 0; s < p; s++ {
+			go r.worker(s)
+		}
+		defer r.barrier(phaseStop)
 	}
-	defer r.barrier(phaseStop)
 
 	// Parallel prologue: bulk algorithms build their shard's nodes here,
 	// every shard at once; all shards then retire born-done nodes.
 	r.barrier(phaseInit)
-	for s := 0; s < p; s++ {
-		if err := st.stats[s].err; err != nil {
-			return nil, err
-		}
+	if err := r.shardErr(); err != nil {
+		return nil, err
 	}
 
 	var hookView [][]Message
@@ -317,10 +361,10 @@ func RunSharded(g *graph.Graph, a Algorithm, opts ...Option) (*Result, error) {
 
 		r.round = round
 		r.barrier(phaseSend)
+		if err := r.shardErr(); err != nil {
+			return nil, err
+		}
 		for s := 0; s < p; s++ {
-			if err := st.stats[s].err; err != nil {
-				return nil, err
-			}
 			res.Messages += st.stats[s].sent
 		}
 		if c.roundHook != nil {
@@ -332,14 +376,12 @@ func RunSharded(g *graph.Graph, a Algorithm, opts ...Option) (*Result, error) {
 	clk.tickRounds()
 
 	// Parallel epilogue: every shard collects and validates its own
-	// output range; the coordinator only checks the per-shard errors in
-	// shard order (lowest bad node wins, as in the sequential engine).
+	// output range; shardErr reports the first per-shard error in shard
+	// order (lowest bad node wins, whatever the shard count).
 	r.outputs = make([][]int, n)
 	r.barrier(phaseOutput)
-	for s := 0; s < p; s++ {
-		if err := st.stats[s].err; err != nil {
-			return nil, err
-		}
+	if err := r.shardErr(); err != nil {
+		return nil, err
 	}
 	res.Outputs = r.outputs
 	clk.tickOutputs()

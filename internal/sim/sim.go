@@ -8,18 +8,23 @@
 // on every input (a cross-engine property suite in engines_test.go
 // enforces it):
 //
+//   - RunSharded partitions the nodes into P contiguous shards over the
+//     graph's flat routing table (graph.RoutingTable) and runs the round
+//     loop over flat message arrays: no per-round allocation, one
+//     channel barrier per phase. Each message is delivered when it is
+//     sent — the send phase writes it into the partner's inbox slot and
+//     lists the port in a per-shard delivery list, and the next send
+//     phase sets only the listed slots back to nil — so a round costs
+//     O(messages), not O(ports), in the routing layer. It is the
+//     fastest engine on large graphs and the scaling path for
+//     million-node runs; see sharded.go.
 //   - RunSequential is the deterministic single-threaded reference and
-//     the engine of choice for debugging.
+//     the engine of choice for debugging: the same round loop on one
+//     shard, its phases run inline with no goroutine and no channel.
 //   - RunConcurrent runs one goroutine per node and routes messages over
 //     capacity-1 channels — the natural Go embedding of the model, useful
 //     as a semantic stress test of the round structure. Its per-node
 //     goroutines and channels make it the slowest engine on large graphs.
-//   - RunSharded partitions the nodes into P contiguous shards over the
-//     graph's flat routing table (graph.RoutingTable) and runs the round
-//     loop over double-buffered flat message arrays: no channels, no
-//     per-round allocation, one WaitGroup barrier per phase. It is the
-//     fastest engine on large graphs and the scaling path for
-//     million-node runs; see sharded.go.
 //
 // WithRoundHook (traces, figures) is honoured by the sequential and
 // sharded engines; the concurrent engine has no barrier window in which
@@ -61,6 +66,8 @@ type Node interface {
 	// The returned slice must have exactly one entry per port.
 	Send(round int) []Message
 	// Receive delivers the incoming message of each port for this round.
+	// inbox is engine-owned and read-only: engines reuse it across rounds
+	// and only rewrite the slots that carry messages.
 	Receive(round int, inbox []Message)
 	// Done reports whether the node has stopped.
 	Done() bool
@@ -215,14 +222,15 @@ func WithMaxRounds(n int) Option {
 
 // WithRoundHook installs a callback invoked after the send phase of every
 // round with the full message matrix (sent[v][i-1] = message sent by v on
-// port i). The sequential and sharded engines honour the hook — the
-// sharded engine presents its flat outbox through per-node subslices and
-// invokes the hook between the send and receive barriers, where no worker
-// is running — so traces and figures work at every graph scale. The
-// concurrent engine does not support hooks (its messages never exist in
-// one place) and returns ErrHookUnsupported when one is set. The hook
-// must treat the matrix as read-only and must not retain it across
-// rounds: the sharded engine's rows are views of a flat buffer that is
+// port i). The sequential and sharded engines honour the hook — they
+// present their flat outbox through per-node subslices and invoke the
+// hook between the send and receive phases, where no worker is running —
+// so traces and figures work at every graph scale. The concurrent engine
+// does not support hooks (its messages never exist in one place) and
+// returns ErrHookUnsupported when one is set. The hook must treat the
+// matrix as read-only (the messages are already delivered, and the next
+// send phase resets only the slots it delivered from) and must not
+// retain it across rounds: the rows are views of a flat buffer that is
 // recycled at the next barrier (the outboxalias analyzer in
 // internal/lint enforces this mechanically).
 func WithRoundHook(fn func(round int, sent [][]Message)) Option {
@@ -316,93 +324,15 @@ func roundLimit(a Algorithm, round int) error {
 	return fmt.Errorf("%w: algorithm %q still running after %d rounds", ErrRoundLimit, a.Name(), round)
 }
 
-// RunSequential executes the algorithm on g with a deterministic
-// single-threaded engine. Like the sharded engine it runs over the
-// graph's flat routing view — a pooled pair of flat message arrays with
-// a single gather per round — so it shares the zero-allocation send
-// path (BufferedNode) and the recycled run state; it differs from
-// RunSharded only in having no workers and no barriers.
+// RunSequential executes the algorithm on g with the deterministic
+// single-threaded reference engine: the sharded engine's round loop run
+// inline on one shard, with no goroutine and no channel. It shares that
+// loop's send-time delivery over the graph's flat routing view, its
+// zero-allocation send path (BufferedNode) and its pooled run state;
+// WithShards does not apply to it.
 func RunSequential(g *graph.Graph, a Algorithm, opts ...Option) (*Result, error) {
 	c := buildConfig(opts)
-	if err := c.ctxErr(a); err != nil {
-		return nil, err
-	}
-	n := g.N()
-	off := g.PortOffsets()
-	route := g.RoutingTable()
-	clk := startClock(&c)
-	st := acquireState(n, g.NumPorts(), 0)
-	defer st.release()
-	bulk, _ := a.(BulkAlgorithm)
-	if err := st.buildNodes(g, a, bulk, 0, n, &st.arenas[0]); err != nil {
-		return nil, err
-	}
-	var hookView [][]Message
-	if c.roundHook != nil {
-		hookView = st.hookRows(off, n)
-	}
-	clk.tickSetup()
-	res := &Result{}
-	for round := 0; ; round++ {
-		if err := c.ctxErr(a); err != nil {
-			return nil, err
-		}
-		// Full scan, no early break: every node reporting Done must have
-		// its flag set before the send phase, or a retired node with a
-		// shorter schedule than a still-running peer would be asked to
-		// Send again (degree-dependent schedules on irregular graphs).
-		allDone := true
-		for v := 0; v < n; v++ {
-			if !st.done[v] {
-				if st.nodes[v].Done() {
-					st.done[v] = true
-				} else {
-					allDone = false
-				}
-			}
-		}
-		if allDone {
-			break
-		}
-		if round >= c.maxRounds {
-			return nil, roundLimit(a, round)
-		}
-		res.Rounds = round + 1
-		// Send phase: every node writes its outbox window.
-		for v := 0; v < n; v++ {
-			slot := st.outbox[off[v]:off[v+1]:off[v+1]]
-			if st.done[v] {
-				clear(slot)
-				continue
-			}
-			sent, err := st.fillSlot(a, v, round, slot)
-			if err != nil {
-				return nil, err
-			}
-			res.Messages += sent
-		}
-		if c.roundHook != nil {
-			c.roundHook(round, hookView)
-		}
-		// Route via the involution: one flat gather.
-		for j := range route {
-			st.inbox[j] = st.outbox[route[j]]
-		}
-		// Receive phase.
-		for v := 0; v < n; v++ {
-			if !st.done[v] {
-				st.nodes[v].Receive(round, st.inbox[off[v]:off[v+1]:off[v+1]])
-			}
-		}
-	}
-	clk.tickRounds()
-	var err error
-	res.Outputs, err = collectOutputs(g, a, st.nodes[:n])
-	if err != nil {
-		return nil, err
-	}
-	clk.tickOutputs()
-	return res, nil
+	return runShards(g, a, 1, &c)
 }
 
 // RunConcurrent executes the algorithm with one goroutine per node,
@@ -646,19 +576,31 @@ func collectOutputsRange(g *graph.Graph, a Algorithm, nodes []Node, lo, hi int, 
 }
 
 // CheckConsistency verifies the paper's output well-formedness condition:
-// if i ∈ X(v) and p(v,i) = (u,j) then j ∈ X(u).
+// if i ∈ X(v) and p(v,i) = (u,j) then j ∈ X(u). outputs must hold one
+// row per node and every port must lie in [1, deg(v)]; anything else is
+// an error. The chosen ports are marked in one flat slice over the
+// graph's global port space (graph.PortOffsets), and each partner is
+// looked up through the routing table.
 func CheckConsistency(g *graph.Graph, outputs [][]int) error {
-	chosen := make([]map[int]bool, g.N())
+	if len(outputs) != g.N() {
+		return fmt.Errorf("sim: %d output rows for %d nodes", len(outputs), g.N())
+	}
+	off := g.PortOffsets()
+	route := g.RoutingTable()
+	chosen := make([]bool, len(route))
 	for v, out := range outputs {
-		chosen[v] = make(map[int]bool, len(out))
-		for _, p := range out {
-			chosen[v][p] = true
+		deg := int(off[v+1] - off[v])
+		for _, i := range out {
+			if i < 1 || i > deg {
+				return fmt.Errorf("sim: node %d output invalid port %d", v, i)
+			}
+			chosen[int(off[v])+i-1] = true
 		}
 	}
 	for v, out := range outputs {
 		for _, i := range out {
-			q := g.P(v, i)
-			if !chosen[q.Node][q.Num] {
+			if !chosen[route[int(off[v])+i-1]] {
+				q := g.P(v, i)
 				return fmt.Errorf("sim: inconsistent output: %d ∈ X(%d) but %d ∉ X(%d)", i, v, q.Num, q.Node)
 			}
 		}

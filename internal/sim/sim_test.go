@@ -303,6 +303,32 @@ func TestCheckConsistencyRejects(t *testing.T) {
 	if err := CheckConsistency(g, [][]int{{1}, {1}}); err != nil {
 		t.Errorf("consistent output rejected: %v", err)
 	}
+	for _, bad := range [][][]int{{{0}, {}}, {{2}, {}}, {{1}, {-1}}} {
+		if err := CheckConsistency(g, bad); err == nil {
+			t.Errorf("out-of-range port accepted: %v", bad)
+		}
+	}
+	for _, bad := range [][][]int{{{1}}, {{1}, {1}, {}}, nil} {
+		if err := CheckConsistency(g, bad); err == nil {
+			t.Errorf("outputs with %d rows for %d nodes accepted", len(bad), g.N())
+		}
+	}
+
+	// One node with a directed loop (port 1 is its own partner) and an
+	// undirected loop (ports 2 and 3 are each other's partners).
+	b := graph.NewBuilder(1)
+	b.MustConnect(0, 1, 0, 1)
+	b.MustConnect(0, 2, 0, 3)
+	loops := b.MustBuild()
+	for _, ok := range [][][]int{{{1}}, {{2, 3}}, {{1, 2, 3}}, {{}}} {
+		if err := CheckConsistency(loops, ok); err != nil {
+			t.Errorf("consistent loop output %v rejected: %v", ok, err)
+		}
+	}
+	err := CheckConsistency(loops, [][]int{{1, 2}})
+	if want := "sim: inconsistent output: 2 ∈ X(0) but 3 ∉ X(0)"; err == nil || err.Error() != want {
+		t.Errorf("one-sided undirected loop: err = %v, want %q", err, want)
+	}
 }
 
 func TestRoundHookSeesMessages(t *testing.T) {
