@@ -210,7 +210,6 @@ func BenchmarkSharded(b *testing.B) {
 	}
 	for _, f := range families {
 		g := f.build()
-		g.RoutingTable() // build the flat view outside the timing
 		for _, e := range engines {
 			b.Run(f.name+"/"+e.name, func(b *testing.B) {
 				b.ResetTimer()
@@ -244,7 +243,6 @@ func BenchmarkSharded(b *testing.B) {
 				b.Skip("million-node benchmark skipped in -short mode")
 			}
 			g := f.build()
-			g.RoutingTable()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := sim.RunSharded(g, f.alg); err != nil {

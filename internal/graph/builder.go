@@ -36,38 +36,65 @@ func (b *Builder) AddNodes(k int) int {
 // N returns the current number of nodes.
 func (b *Builder) N() int { return len(b.conn) }
 
-// ensurePort grows node v's port table to include port i and returns an
-// error if the port is already wired.
-func (b *Builder) ensurePort(v, i int) error {
-	if v < 0 || v >= len(b.conn) {
-		return fmt.Errorf("graph: node %d out of range [0,%d)", v, len(b.conn))
+// checkFree returns an error unless port i of node v can be wired: v
+// must be a node, i at least 1, and the port not wired yet. A port past
+// the end of v's table is not wired yet.
+func (b *Builder) checkFree(v, i int) error {
+	if err := checkPortName(v, i, len(b.conn)); err != nil {
+		return err
 	}
-	if i < 1 {
-		return fmt.Errorf("graph: port number %d must be >= 1", i)
-	}
-	for len(b.conn[v]) < i {
-		b.conn[v] = append(b.conn[v], Port{})
-	}
-	if b.conn[v][i-1].Num != 0 {
-		return fmt.Errorf("graph: port (%d,%d) already connected to %v", v, i, b.conn[v][i-1])
+	if i <= len(b.conn[v]) {
+		if q := b.conn[v][i-1]; q.Num != 0 {
+			return errWired(v, i, q)
+		}
 	}
 	return nil
 }
 
+// grow extends node v's port table to include port i.
+func (b *Builder) grow(v, i int) {
+	for len(b.conn[v]) < i {
+		b.conn[v] = append(b.conn[v], Port{})
+	}
+}
+
+// checkPortName returns an error unless (v, i) can name a port of a
+// graph with n nodes: v must be a node and i at least 1.
+func checkPortName(v, i, n int) error {
+	if v < 0 || v >= n {
+		return fmt.Errorf("graph: node %d out of range [0,%d)", v, n)
+	}
+	if i < 1 {
+		return fmt.Errorf("graph: port number %d must be >= 1", i)
+	}
+	return nil
+}
+
+// errWired reports an attempt to wire port (v, i) a second time; q is
+// the port it is already connected to.
+func errWired(v, i int, q Port) error {
+	return fmt.Errorf("graph: port (%d,%d) already connected to %v", v, i, q)
+}
+
 // Connect wires port i of node u to port j of node v (and vice versa,
 // keeping the involution property). Connecting a port to itself creates a
-// directed loop; u == v with i != j creates an undirected loop.
+// directed loop; u == v with i != j creates an undirected loop. Both ends
+// are checked before either node's port table grows, so a failed Connect
+// leaves the builder as it was.
 func (b *Builder) Connect(u, i, v, j int) error {
-	if err := b.ensurePort(u, i); err != nil {
+	if err := b.checkFree(u, i); err != nil {
 		return err
 	}
 	if u == v && i == j {
+		b.grow(u, i)
 		b.conn[u][i-1] = Port{Node: u, Num: i}
 		return nil
 	}
-	if err := b.ensurePort(v, j); err != nil {
+	if err := b.checkFree(v, j); err != nil {
 		return err
 	}
+	b.grow(u, i)
+	b.grow(v, j)
 	b.conn[u][i-1] = Port{Node: v, Num: j}
 	b.conn[v][j-1] = Port{Node: u, Num: i}
 	return nil
@@ -134,22 +161,21 @@ func (b *Builder) AddDirectedLoop(v int) (int, error) {
 
 // Build validates that every port is wired and returns the immutable graph.
 func (b *Builder) Build() (*Graph, error) {
-	conn := make([][]Port, len(b.conn))
-	for v := range b.conn {
-		conn[v] = make([]Port, len(b.conn[v]))
-		copy(conn[v], b.conn[v])
-		for i, p := range conn[v] {
-			if p.Num == 0 {
-				return nil, fmt.Errorf("graph: port (%d,%d) left unconnected", v, i+1)
-			}
-		}
+	total := 0
+	for _, ps := range b.conn {
+		total += len(ps)
 	}
-	edges, edgeAt := buildEdges(conn)
-	g := &Graph{conn: conn, edges: edges, edgeAt: edgeAt}
-	if err := g.Validate(); err != nil {
+	if err := checkPortSpace(total); err != nil {
 		return nil, err
 	}
-	return g, nil
+	off := make([]int32, len(b.conn)+1)
+	ports := make([]Port, 0, total)
+	for v, ps := range b.conn {
+		off[v] = int32(len(ports))
+		ports = append(ports, ps...)
+	}
+	off[len(b.conn)] = int32(total)
+	return newGraph(off, ports)
 }
 
 // MustBuild is Build but panics on error.

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -23,10 +24,36 @@ func FuzzReadGraph(f *testing.F) {
 	f.Add([]byte("nodes -5\n"))
 	f.Add([]byte("nodes 2\nnodes 2\n"))
 	f.Add([]byte("conn 0 1 1 1\n"))
+	// Line endings, separators and number forms the in-place parser must
+	// treat exactly as strings.Fields and strconv.Atoi do.
+	f.Add([]byte("nodes 2\r\nconn 0 1 1 1\r\n"))
+	f.Add([]byte("nodes\t2\nconn\t0 1\t1\t1\n"))
+	f.Add([]byte("\u00a0nodes\u00a02\u2003\nconn 0\u20031\u00a01 1\n"))
+	f.Add([]byte("nodes +7\nconn -0 1 007 1\n"))
+	f.Add([]byte("nodes 2\nconn 0 1 1 12345678901234567890\n"))
+	f.Add([]byte("nodes 2\nconn 0 1 1 1"))
+	f.Add([]byte("nodes 0\n"))
+	f.Add([]byte("nodes 1\n# " + strings.Repeat("x", 70_000) + "\n"))
+	// The first failing line wins, even when a later line is malformed
+	// or names a missing node.
+	f.Add([]byte("nodes 3\nconn 0 1 1 1\nconn 0 1 2 1\nconn x\n"))
+	f.Add([]byte("nodes 2\nconn 0 1 1 1\nconn 0 1 5 1\n"))
+	// More conn lines than the budget has ports.
+	f.Add([]byte("nodes 2\n" + strings.Repeat("conn 0 1 1 1\n", 10_000)))
+	// A port number that overflows a plain sum of the two ends' growth.
+	f.Add([]byte("nodes 2\nconn 0 9223372036854775807 1 1\n"))
+	// A port number near math.MaxInt on a line that fails on its peer.
+	f.Add([]byte("nodes 2\nconn 0 9223372036854775807 5 1\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Tight limits keep the fuzzer fast and prove the caps bound
 		// allocation no matter what the input declares.
 		lim := Limits{MaxNodes: 64, MaxPorts: 256}
+		// The in-place decoder must behave as the line-by-line reference
+		// does, also under a budget small enough for the recorded-line
+		// cap to matter.
+		for _, l := range []Limits{lim, {MaxNodes: 4, MaxPorts: 6}} {
+			checkAgainstReference(t, data, l)
+		}
 		g, err := ReadGraphLimits(bytes.NewReader(data), lim)
 		if err != nil {
 			return
@@ -59,6 +86,29 @@ func FuzzReadGraph(f *testing.F) {
 			t.Fatalf("canonical form is not a fixed point:\n%q\nvs\n%q", canonical, buf.String())
 		}
 	})
+}
+
+// checkAgainstReference decodes data under lim with ReadGraphLimits and
+// with referenceReadGraphLimits and requires the same outcome: the same
+// error text (so the same line) and ErrTooLarge class, or Equal graphs
+// with the same Digest.
+func checkAgainstReference(t *testing.T, data []byte, lim Limits) {
+	t.Helper()
+	g, err := ReadGraphLimits(bytes.NewReader(data), lim)
+	ref, refErr := referenceReadGraphLimits(bytes.NewReader(data), lim)
+	switch {
+	case (err == nil) != (refErr == nil):
+		t.Fatalf("limits %+v: error %v, reference error %v", lim, err, refErr)
+	case err != nil:
+		if err.Error() != refErr.Error() {
+			t.Fatalf("limits %+v: error %q, reference error %q", lim, err, refErr)
+		}
+		if errors.Is(err, ErrTooLarge) != errors.Is(refErr, ErrTooLarge) {
+			t.Fatalf("limits %+v: ErrTooLarge class differs: %v vs reference %v", lim, err, refErr)
+		}
+	case !g.Equal(ref) || Digest(g) != Digest(ref):
+		t.Fatalf("limits %+v: decoded graph differs from the reference's", lim)
+	}
 }
 
 // FuzzBuilder feeds arbitrary connect sequences to the builder: whatever
@@ -124,7 +174,7 @@ func FuzzRoutingTable(f *testing.F) {
 			pi := 1 + int(data[i+1])%7
 			v := int(data[i+2]) % n
 			pj := 1 + int(data[i+3])%7
-			b.Connect(u, pi, v, pj) // failures leave holes; Build rejects them
+			b.Connect(u, pi, v, pj) // sparse port numbers leave holes; Build rejects them
 		}
 		g, err := b.Build()
 		if err != nil {

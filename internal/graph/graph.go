@@ -16,9 +16,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
+	"slices"
 )
 
 // Port identifies one port of one node. Node is the 0-based node index and
@@ -85,36 +83,51 @@ func (e Edge) String() string {
 }
 
 // Graph is an immutable port-numbered graph. Construct one with a Builder,
-// or with a generator from internal/gen. The zero value is the empty graph.
+// with ReadGraph, or with a generator from internal/gen. The zero value is
+// the empty graph.
+//
+// The involution is stored flat, as the paper models it: one table over
+// the set of all ports. Ports are numbered globally in node order (see
+// routing.go), so the ports of node v are the global indices
+// [off[v], off[v+1]), and every per-port array below is indexed by that
+// global number. None of the arrays holds a pointer, so a graph is a
+// handful of heap objects whatever its size, and the garbage collector
+// never scans their contents.
 type Graph struct {
-	conn   [][]Port // conn[v][i-1] = p(v, i)
-	edges  []Edge   // canonical edge list, sorted by Edge.A
-	edgeAt [][]int  // edgeAt[v][i-1] = index into edges for the edge at (v, i)
-
-	// Lazily built flat routing view (see routing.go).
-	routeOnce sync.Once
-	portOff   []int32 // portOff[v] = global index of port (v, 1); len N()+1
-	route     []int32 // route[j] = global index of the partner of port j
+	off    []int32 // off[v] = global index of port (v, 1); len N()+1, nil for the zero value
+	ports  []Port  // ports[off[v]+i-1] = p(v, i)
+	route  []int32 // route[j] = global index of the partner of port j
+	edgeAt []int32 // edgeAt[j] = index into edges of the edge at port j
+	edges  []Edge  // canonical edge list, sorted by Edge.A
 }
 
 // N returns the number of nodes.
-func (g *Graph) N() int { return len(g.conn) }
+func (g *Graph) N() int {
+	if len(g.off) == 0 {
+		return 0
+	}
+	return len(g.off) - 1
+}
 
 // M returns the number of edges (loops count once, a directed loop is one
 // edge, parallel edges count separately).
 func (g *Graph) M() int { return len(g.edges) }
 
+// portsOf returns the involution restricted to node v's ports:
+// portsOf(v)[i-1] = p(v, i).
+func (g *Graph) portsOf(v int) []Port { return g.ports[g.off[v]:g.off[v+1]] }
+
 // Deg returns the degree of node v, i.e. its number of ports. A directed
 // loop contributes 1 to the degree, an undirected loop contributes 2.
-func (g *Graph) Deg(v int) int { return len(g.conn[v]) }
+func (g *Graph) Deg(v int) int { return int(g.off[v+1] - g.off[v]) }
 
 // P evaluates the involution: P(v, i) is the port connected to port i of
 // node v. Port numbers are 1-based.
-func (g *Graph) P(v, i int) Port { return g.conn[v][i-1] }
+func (g *Graph) P(v, i int) Port { return g.portsOf(v)[i-1] }
 
 // EdgeAt returns the index (into Edges) of the edge attached to port i of
 // node v.
-func (g *Graph) EdgeAt(v, i int) int { return g.edgeAt[v][i-1] }
+func (g *Graph) EdgeAt(v, i int) int { return int(g.edgeAt[g.off[v]:g.off[v+1]][i-1]) }
 
 // Edge returns the edge with the given index.
 func (g *Graph) Edge(idx int) Edge { return g.edges[idx] }
@@ -125,10 +138,8 @@ func (g *Graph) Edges() []Edge { return g.edges }
 // MaxDegree returns the maximum node degree, or 0 for the empty graph.
 func (g *Graph) MaxDegree() int {
 	maxDeg := 0
-	for v := range g.conn {
-		if d := len(g.conn[v]); d > maxDeg {
-			maxDeg = d
-		}
+	for v := 0; v < g.N(); v++ {
+		maxDeg = max(maxDeg, g.Deg(v))
 	}
 	return maxDeg
 }
@@ -136,12 +147,12 @@ func (g *Graph) MaxDegree() int {
 // Regular reports whether all nodes have the same degree and returns that
 // degree. The empty graph is vacuously 0-regular.
 func (g *Graph) Regular() (d int, ok bool) {
-	if len(g.conn) == 0 {
+	if g.N() == 0 {
 		return 0, true
 	}
-	d = len(g.conn[0])
-	for v := 1; v < len(g.conn); v++ {
-		if len(g.conn[v]) != d {
+	d = g.Deg(0)
+	for v := 1; v < g.N(); v++ {
+		if g.Deg(v) != d {
 			return 0, false
 		}
 	}
@@ -168,31 +179,25 @@ func (g *Graph) IsSimple() bool {
 }
 
 // Neighbour returns the node at the other end of port i of node v.
-func (g *Graph) Neighbour(v, i int) int { return g.conn[v][i-1].Node }
+func (g *Graph) Neighbour(v, i int) int { return g.P(v, i).Node }
 
 // Neighbours returns the multiset of neighbours of v in port order.
 // The result is freshly allocated.
 func (g *Graph) Neighbours(v int) []int {
-	out := make([]int, len(g.conn[v]))
-	for i, p := range g.conn[v] {
+	ps := g.portsOf(v)
+	out := make([]int, len(ps))
+	for i, p := range ps {
 		out[i] = p.Node
 	}
 	return out
 }
 
 // HasEdgeBetween reports whether at least one edge joins u and v.
-func (g *Graph) HasEdgeBetween(u, v int) bool {
-	for _, p := range g.conn[u] {
-		if p.Node == v {
-			return true
-		}
-	}
-	return false
-}
+func (g *Graph) HasEdgeBetween(u, v int) bool { return g.PortBetween(u, v) != 0 }
 
 // PortBetween returns v's port number of some edge {v, u}, or 0 if none.
 func (g *Graph) PortBetween(v, u int) int {
-	for i, p := range g.conn[v] {
+	for i, p := range g.portsOf(v) {
 		if p.Node == u {
 			return i + 1
 		}
@@ -204,13 +209,13 @@ func (g *Graph) PortBetween(v, u int) int {
 // order. Loops appear once per incident port pair for undirected loops
 // (i.e. once, deduplicated) and once for directed loops.
 func (g *Graph) IncidentEdges(v int) []int {
-	out := make([]int, 0, len(g.conn[v]))
-	seen := make(map[int]bool, len(g.conn[v]))
-	for i := range g.conn[v] {
-		idx := g.edgeAt[v][i]
+	at := g.edgeAt[g.off[v]:g.off[v+1]]
+	out := make([]int, 0, len(at))
+	seen := make(map[int32]bool, len(at))
+	for _, idx := range at {
 		if !seen[idx] {
 			seen[idx] = true
-			out = append(out, idx)
+			out = append(out, int(idx))
 		}
 	}
 	return out
@@ -219,28 +224,27 @@ func (g *Graph) IncidentEdges(v int) []int {
 // Validate checks the structural invariants: every port is assigned, the
 // connection function is an involution, and the edge index is consistent.
 func (g *Graph) Validate() error {
-	for v := range g.conn {
-		for i1, q := range g.conn[v] {
-			i := i1 + 1
-			if q.Node < 0 || q.Node >= len(g.conn) {
-				return fmt.Errorf("graph: port (%d,%d) connects to out-of-range node %d", v, i, q.Node)
+	n := g.N()
+	for v := 0; v < n; v++ {
+		for j := g.off[v]; j < g.off[v+1]; j++ {
+			self := Port{Node: v, Num: int(j-g.off[v]) + 1}
+			q := g.ports[j]
+			if q.Node < 0 || q.Node >= n {
+				return fmt.Errorf("graph: port %v connects to out-of-range node %d", self, q.Node)
 			}
-			if q.Num < 1 || q.Num > len(g.conn[q.Node]) {
-				return fmt.Errorf("graph: port (%d,%d) connects to out-of-range port %v", v, i, q)
+			if q.Num < 1 || q.Num > g.Deg(q.Node) {
+				return fmt.Errorf("graph: port %v connects to out-of-range port %v", self, q)
 			}
-			back := g.conn[q.Node][q.Num-1]
-			if back != (Port{Node: v, Num: i}) {
-				return fmt.Errorf("graph: involution violated at (%d,%d): p(%d,%d)=%v but p%v=%v",
-					v, i, v, i, q, q, back)
+			if back := g.P(q.Node, q.Num); back != self {
+				return fmt.Errorf("graph: involution violated at %v: p%v=%v but p%v=%v",
+					self, self, q, q, back)
 			}
-			idx := g.edgeAt[v][i1]
-			if idx < 0 || idx >= len(g.edges) {
-				return fmt.Errorf("graph: edge index out of range at (%d,%d)", v, i)
+			idx := g.edgeAt[j]
+			if idx < 0 || int(idx) >= len(g.edges) {
+				return fmt.Errorf("graph: edge index out of range at %v", self)
 			}
-			e := g.edges[idx]
-			self := Port{Node: v, Num: i}
-			if e.A != self && e.B != self {
-				return fmt.Errorf("graph: edge index at (%d,%d) points to unrelated edge %v", v, i, e)
+			if e := g.edges[idx]; e.A != self && e.B != self {
+				return fmt.Errorf("graph: edge index at %v points to unrelated edge %v", self, e)
 			}
 		}
 	}
@@ -253,78 +257,60 @@ func (g *Graph) Equal(h *Graph) bool {
 	if g.N() != h.N() {
 		return false
 	}
-	for v := range g.conn {
-		if len(g.conn[v]) != len(h.conn[v]) {
+	for v := 1; v <= g.N(); v++ {
+		if g.off[v] != h.off[v] {
 			return false
 		}
-		for i := range g.conn[v] {
-			if g.conn[v][i] != h.conn[v][i] {
-				return false
-			}
-		}
 	}
-	return true
+	return slices.Equal(g.ports, h.ports)
 }
 
 // String renders a compact description, mostly for test failure messages.
 func (g *Graph) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Graph(n=%d, m=%d)", g.N(), g.M())
-	return sb.String()
+	return fmt.Sprintf("Graph(n=%d, m=%d)", g.N(), g.M())
 }
 
-// buildEdges derives the canonical edge list from a validated connection
-// table. Each involution orbit of size two becomes one undirected edge;
-// each fixed point becomes one directed loop.
-func buildEdges(conn [][]Port) ([]Edge, [][]int) {
-	var edges []Edge
-	edgeAt := make([][]int, len(conn))
-	for v := range conn {
-		edgeAt[v] = make([]int, len(conn[v]))
-		for i := range edgeAt[v] {
-			edgeAt[v][i] = -1
-		}
-	}
-	for v := range conn {
-		for i1, q := range conn[v] {
-			if edgeAt[v][i1] >= 0 {
-				continue
-			}
-			self := Port{Node: v, Num: i1 + 1}
-			e := Edge{A: self, B: q}
-			if q.Less(self) {
-				e = Edge{A: q, B: self}
-			}
-			idx := len(edges)
-			edges = append(edges, e)
-			edgeAt[v][i1] = idx
-			if q != self {
-				edgeAt[q.Node][q.Num-1] = idx
+// newGraph is the one constructor of Graph, shared by Builder.Build and
+// ReadGraphLimits. It takes ownership of the flat involution (off and
+// ports, laid out as in Graph), whose every assigned entry must name an
+// existing port, and derives the routing table, the edge list and the
+// edge index from it. An unassigned port (Num 0) is an error.
+//
+// Each involution orbit of size two becomes one undirected edge and each
+// fixed point one directed loop. The scan visits ports in (node, port)
+// order and emits an edge at its smaller end, Edge.A, so the edge list
+// comes out sorted by Edge.A.
+func newGraph(off []int32, ports []Port) (*Graph, error) {
+	n := len(off) - 1
+	for v := 0; v < n; v++ {
+		for j := off[v]; j < off[v+1]; j++ {
+			if ports[j].Num == 0 {
+				return nil, fmt.Errorf("graph: port (%d,%d) left unconnected", v, j-off[v]+1)
 			}
 		}
 	}
-	// Canonicalise order: sort edges by the A port, remap indices.
-	perm := make([]int, len(edges))
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.Slice(perm, func(a, b int) bool {
-		ea, eb := edges[perm[a]], edges[perm[b]]
-		if ea.A != eb.A {
-			return ea.A.Less(eb.A)
-		}
-		return ea.B.Less(eb.B)
-	})
-	inv := make([]int, len(edges))
-	sorted := make([]Edge, len(edges))
-	for newIdx, oldIdx := range perm {
-		sorted[newIdx] = edges[oldIdx]
-		inv[oldIdx] = newIdx
-	}
-	for v := range edgeAt {
-		for i := range edgeAt[v] {
-			edgeAt[v][i] = inv[edgeAt[v][i]]
+	route := make([]int32, len(ports))
+	m := 0
+	for j, q := range ports {
+		route[j] = off[q.Node] + int32(q.Num-1)
+		if route[j] >= int32(j) {
+			m++
 		}
 	}
-	return sorted, edgeAt
+	edges := make([]Edge, 0, m)
+	edgeAt := make([]int32, len(ports))
+	for v := 0; v < n; v++ {
+		for j := off[v]; j < off[v+1]; j++ {
+			if r := route[j]; r >= j {
+				idx := int32(len(edges))
+				edges = append(edges, Edge{A: Port{Node: v, Num: int(j-off[v]) + 1}, B: ports[j]})
+				edgeAt[j], edgeAt[r] = idx, idx
+			}
+		}
+	}
+	g := &Graph{off: off, ports: ports, route: route, edgeAt: edgeAt, edges: edges}
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	return g, nil
 }

@@ -129,6 +129,19 @@ func TestBuilderErrors(t *testing.T) {
 	}
 }
 
+// TestFailedConnectChangesNothing checks that a Connect that fails on
+// its second port leaves the first node's port table as it was.
+func TestFailedConnectChangesNothing(t *testing.T) {
+	b := NewBuilder(2)
+	if err := b.Connect(0, 3, 5, 1); err == nil {
+		t.Fatal("Connect to a missing node succeeded")
+	}
+	b.MustConnect(0, 1, 1, 1)
+	if _, err := b.Build(); err != nil {
+		t.Fatalf("Build after a failed Connect: %v", err)
+	}
+}
+
 func TestBuildRejectsUnconnectedPort(t *testing.T) {
 	b := NewBuilder(2)
 	b.MustConnect(0, 2, 1, 1) // leaves port (0,1) unassigned

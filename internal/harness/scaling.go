@@ -101,9 +101,6 @@ func EngineScaling(seed int64, d int, sizes []int, engines []string) ([]EngineRo
 		if err != nil {
 			return nil, err
 		}
-		// Build the flat routing view up front so the sharded engine's
-		// row times the rounds, not the one-time CSR construction.
-		g.RoutingTable()
 		var ref *sim.Result
 		for _, name := range engines {
 			run, ok := sim.Engines()[name]

@@ -60,7 +60,6 @@ func disableGC(t *testing.T) {
 func TestEngineRoundsAllocationFree(t *testing.T) {
 	disableGC(t)
 	g := gen.Cycle(256)
-	g.RoutingTable() // build the flat view outside the measurement
 
 	engines := []struct {
 		name string
@@ -114,7 +113,6 @@ func TestMigratedAlgorithmsZeroAllocSteadyState(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			g := tc.g
-			g.RoutingTable()
 			// Warm-up run: fills the state pool so the measured run
 			// reuses every buffer.
 			if _, err := sim.RunSharded(g, tc.alg(), sim.WithShards(4)); err != nil {
@@ -183,7 +181,6 @@ func TestSetupAllocationBudget(t *testing.T) {
 	}
 	for _, n := range []int{10_000, 100_000} {
 		g := gen.MustRandomRegular(rng, n, 3)
-		g.RoutingTable() // build the flat view outside the measurement
 		for _, tc := range cases {
 			for _, e := range engines {
 				t.Run(fmt.Sprintf("n=%d/%s/%s", n, tc.name, e.name), func(t *testing.T) {
@@ -209,7 +206,6 @@ func TestSetupAllocationBudget(t *testing.T) {
 	// IDMatching: O(ports) floor from round-0 msgID boxing, nothing more.
 	for _, n := range []int{10_000, 100_000} {
 		g := gen.MustRandomRegular(rng, n, 3)
-		g.RoutingTable()
 		t.Run(fmt.Sprintf("n=%d/IDMatching/sharded", n), func(t *testing.T) {
 			run := func() error {
 				_, err := sim.RunSharded(g, core.NewIDMatching(), sim.WithShards(4))
