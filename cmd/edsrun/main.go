@@ -28,6 +28,7 @@ import (
 	"log"
 	"os"
 
+	"eds/internal/core"
 	"eds/internal/sim"
 	"eds/internal/spec"
 )
@@ -42,7 +43,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "seed for random graph families")
 	dotOut := flag.String("dot", "", "write a DOT rendering with the output highlighted")
 	exact := flag.Bool("exact", false, "also compute the exact optimum (exponential; small graphs only)")
-	profile := flag.Bool("profile", false, "print the per-message-type communication profile (sequential, sharded, and auto engines)")
+	profile := flag.Bool("profile", false, "print the per-message-kind communication profile (sequential, sharded, and auto engines)")
 	flag.Parse()
 
 	g, opt, err := spec.Graph(*graphSpec, *seed)
@@ -61,7 +62,7 @@ func main() {
 			return nil
 		}
 		var traceOpt sim.Option
-		trace, traceOpt = sim.NewTrace()
+		trace, traceOpt = sim.NewTrace(core.KindName)
 		return []sim.Option{traceOpt}
 	}
 	switch *engine {

@@ -61,7 +61,8 @@ type (
 	// Node is one node's state machine: Send produces the round's
 	// outgoing messages, Receive consumes the incoming ones.
 	Node = sim.Node
-	// Message is one message on one port; nil means "no message".
+	// Message is one message on one port: a uint64 word whose meaning
+	// the algorithm defines; 0 means "no message".
 	Message = sim.Message
 	// BufferedNode is the optional zero-allocation extension of Node:
 	// SendInto writes the round's messages directly into an

@@ -3,9 +3,11 @@
 // The paper's algorithms ship pre-migrated, but the zero-allocation
 // machinery is open to user algorithms too: implement the optional
 // eds.BufferedNode interface and the engines write your messages
-// straight into their pooled flat outbox — no per-round []Message, no
-// boxing copies, nothing for the garbage collector to chase while the
-// rounds run. This example defines a toy multi-round protocol both
+// straight into their pooled flat outbox — no per-round []Message,
+// nothing for the garbage collector to chase while the rounds run. A
+// message is one uint64 word (0 means "no message"), so writing one
+// never allocates; only the legacy Send contract's fresh slice per
+// round does. This example defines a toy multi-round protocol both
 // ways and measures the difference with testing.AllocsPerRun: the
 // buffered variant's allocation count is independent of the round
 // count.
@@ -19,10 +21,10 @@ import (
 	"eds"
 )
 
-// beat is the heartbeat message. A zero-size struct value: every
-// interface box of it points at the same runtime location, so emitting
-// it allocates nothing.
-type beat struct{}
+// beat is the heartbeat message. Any nonzero word is a message; a
+// protocol with several kinds would reserve a few tag bits and pack its
+// fields above them, as the paper's algorithms do in internal/core.
+const beat eds.Message = 1
 
 // pulse is a deliberately minimal custom algorithm — every node
 // broadcasts a heartbeat on all ports for a fixed number of rounds,
@@ -50,13 +52,13 @@ type pulseNode struct {
 }
 
 // SendInto is the fast path: write into the engine-owned buffer and
-// keep nothing. buf arrives all-nil with exactly deg slots; slots left
-// nil mean "no message on that port". Retaining buf is a bug — the
+// keep nothing. buf arrives all-zero with exactly deg slots; slots left
+// 0 mean "no message on that port". Retaining buf is a bug — the
 // engine rewrites it every round and pools it across runs — and the
 // outboxalias analyzer reports any attempt.
 func (n *pulseNode) SendInto(round int, buf []eds.Message) {
 	for i := range buf {
-		buf[i] = beat{}
+		buf[i] = beat
 	}
 }
 
@@ -71,7 +73,7 @@ func (n *pulseNode) Send(round int) []eds.Message {
 
 func (n *pulseNode) Receive(round int, inbox []eds.Message) {
 	for _, m := range inbox {
-		if _, ok := m.(beat); ok {
+		if m == beat {
 			n.heard++
 		}
 	}

@@ -196,7 +196,7 @@ func phaseIIProposeStep() pstep[generalState] {
 				return
 			}
 			st.proposedPort = st.eligible[st.ptr]
-			buf[st.proposedPort] = msgProposal{}
+			buf[st.proposedPort] = tagMsg(kindProposal)
 		},
 		recv: collectProposals,
 	}
@@ -222,8 +222,8 @@ func phaseIIAnswerStep() pstep[generalState] {
 			if st.proposedPort < 0 {
 				return
 			}
-			if m, ok := inbox[st.proposedPort].(msgAnswer); ok {
-				if m.Accept {
+			if m := inbox[st.proposedPort]; kindOf(m) == kindAnswer {
+				if flagOf(m) {
 					st.inSet[st.proposedPort] = true
 					st.matched = true
 				} else {
@@ -266,7 +266,7 @@ func phaseIIIProposeStep() pstep[generalState] {
 				return
 			}
 			st.proposedPort = st.eligible[st.ptr]
-			buf[st.proposedPort] = msgProposal{}
+			buf[st.proposedPort] = tagMsg(kindProposal)
 		},
 		recv: collectProposals,
 	}
@@ -291,8 +291,8 @@ func phaseIIIAnswerStep() pstep[generalState] {
 			if st.proposedPort < 0 {
 				return
 			}
-			if m, ok := inbox[st.proposedPort].(msgAnswer); ok {
-				if m.Accept {
+			if m := inbox[st.proposedPort]; kindOf(m) == kindAnswer {
+				if flagOf(m) {
 					st.inP[st.proposedPort] = true
 					st.sentAccepted = true
 				} else {
@@ -306,17 +306,17 @@ func phaseIIIAnswerStep() pstep[generalState] {
 
 // statusBroadcast sends the node's M-coverage flag on every port.
 func statusBroadcast(st *generalState, buf []sim.Message) {
-	cov := st.covered()
+	m := flagMsg(kindStatus, st.covered())
 	for idx := range buf {
-		buf[idx] = msgStatus{Covered: cov}
+		buf[idx] = m
 	}
 }
 
 // recordStatus stores the neighbours' coverage flags.
 func recordStatus(st *generalState, inbox []sim.Message) {
 	for idx, m := range inbox {
-		if s, ok := m.(msgStatus); ok {
-			st.nbrCovered[idx] = s.Covered
+		if kindOf(m) == kindStatus {
+			st.nbrCovered[idx] = flagOf(m)
 		}
 	}
 }
@@ -326,7 +326,7 @@ func recordStatus(st *generalState, inbox []sim.Message) {
 func collectProposals(st *generalState, inbox []sim.Message) {
 	st.proposalPorts = st.proposalPorts[:0]
 	for idx, m := range inbox {
-		if _, ok := m.(msgProposal); ok {
+		if kindOf(m) == kindProposal {
 			st.proposalPorts = append(st.proposalPorts, idx)
 		}
 	}
@@ -341,9 +341,9 @@ func answerProposals(st *generalState, buf []sim.Message, onAccept func(accepted
 	}
 	accepted := st.proposalPorts[0] // smallest port: inbox scanned in order
 	onAccept(accepted)
-	buf[accepted] = msgAnswer{Accept: true}
+	buf[accepted] = flagMsg(kindAnswer, true)
 	for _, idx := range st.proposalPorts[1:] {
-		buf[idx] = msgAnswer{Accept: false}
+		buf[idx] = flagMsg(kindAnswer, false)
 	}
 }
 
@@ -353,6 +353,6 @@ func rejectAll(st *generalState, buf []sim.Message) {
 		return
 	}
 	for _, idx := range st.proposalPorts {
-		buf[idx] = msgAnswer{Accept: false}
+		buf[idx] = flagMsg(kindAnswer, false)
 	}
 }

@@ -75,15 +75,6 @@ func (a IDMatching) BuildNodes(g *graph.Graph, lo, hi int, arena *sim.StateArena
 	}
 }
 
-// msgID carries the sender's identifier.
-type msgID struct{ ID int }
-
-// msgIDStatus reports the sender's matched flag.
-type msgIDStatus struct{ Matched bool }
-
-// msgPoint is the pointing proposal.
-type msgPoint struct{}
-
 type idNode struct {
 	id, deg     int
 	nbrID       []int
@@ -114,19 +105,19 @@ func (n *idNode) hasActiveNeighbour() bool {
 }
 
 // SendInto implements sim.BufferedNode, writing the round's messages
-// straight into the engine-owned buffer. Only the ID-exchange round
-// boxes a payload-carrying message (msgID); the steady-state status and
-// point rounds box zero- and bool-sized values, which Go interns, so
-// they allocate nothing.
+// straight into the engine-owned buffer. Every message, the ID included,
+// is one word, so no round allocates.
 func (n *idNode) SendInto(round int, buf []sim.Message) {
 	switch {
 	case n.round == 0:
+		m := idMsg(n.id)
 		for i := range buf {
-			buf[i] = msgID{ID: n.id}
+			buf[i] = m
 		}
 	case (n.round-1)%2 == 0: // status
+		m := flagMsg(kindIDStatus, n.matched())
 		for i := range buf {
-			buf[i] = msgIDStatus{Matched: n.matched()}
+			buf[i] = m
 		}
 	default: // point
 		n.pointedAt = -1
@@ -142,7 +133,7 @@ func (n *idNode) SendInto(round int, buf []sim.Message) {
 			}
 			if best >= 0 {
 				n.pointedAt = best
-				buf[best] = msgPoint{}
+				buf[best] = tagMsg(kindPoint)
 			}
 		}
 	}
@@ -160,12 +151,12 @@ func (n *idNode) Receive(round int, inbox []sim.Message) {
 	switch {
 	case n.round == 0:
 		for idx, m := range inbox {
-			n.nbrID[idx] = m.(msgID).ID
+			n.nbrID[idx] = idOf(m)
 		}
 	case (n.round-1)%2 == 0: // status
 		for idx, m := range inbox {
-			if s, ok := m.(msgIDStatus); ok {
-				n.nbrMatched[idx] = s.Matched
+			if kindOf(m) == kindIDStatus {
+				n.nbrMatched[idx] = flagOf(m)
 			} else {
 				// Silence: the neighbour has stopped, hence is matched
 				// or has no prospects; either way it is unavailable.
@@ -183,7 +174,7 @@ func (n *idNode) Receive(round int, inbox []sim.Message) {
 		}
 	default: // point + resolve: the points sent this round arrive now
 		if n.pointedAt >= 0 {
-			if _, ok := inbox[n.pointedAt].(msgPoint); ok {
+			if kindOf(inbox[n.pointedAt]) == kindPoint {
 				n.matchedPort = n.pointedAt
 			}
 		}

@@ -70,9 +70,7 @@ func labelExchangeStep[S any](pair func(*S) *pairState) pstep[S] {
 		recv: func(s *S, inbox []sim.Message) {
 			st := pair(s)
 			for idx, m := range inbox {
-				lbl := m.(msgLabel)
-				st.peer[idx] = lbl.Port
-				st.peerDeg[idx] = lbl.Deg
+				st.peer[idx], st.peerDeg[idx] = labelOf(m)
 			}
 			st.dp, st.dpPeer, _ = DistinguishFromPeers(st.peer)
 		},
@@ -108,15 +106,15 @@ func phaseIAddSteps[S any](pair func(*S) *pairState, i, j int, rule addRule) []p
 			if st.dp != i || st.dpPeer != j {
 				return
 			}
-			buf[i-1] = msgPropose{Covered: st.covered()}
+			buf[i-1] = flagMsg(kindPropose, st.covered())
 		},
 		recv: func(s *S, inbox []sim.Message) {
 			st := pair(s)
 			st.gotProposal = false
 			if j <= st.deg {
-				if m, ok := inbox[j-1].(msgPropose); ok {
+				if m := inbox[j-1]; kindOf(m) == kindPropose {
 					st.gotProposal = true
-					st.propCovered = m.Covered
+					st.propCovered = flagOf(m)
 				}
 			}
 		},
@@ -128,7 +126,7 @@ func phaseIAddSteps[S any](pair func(*S) *pairState, i, j int, rule addRule) []p
 				return
 			}
 			add := rule(st.propCovered, st.covered())
-			buf[j-1] = msgRespond{Add: add}
+			buf[j-1] = flagMsg(kindRespond, add)
 			if add {
 				st.inSet[j-1] = true
 			}
@@ -136,7 +134,7 @@ func phaseIAddSteps[S any](pair func(*S) *pairState, i, j int, rule addRule) []p
 		recv: func(s *S, inbox []sim.Message) {
 			st := pair(s)
 			if st.dp == i && st.dpPeer == j {
-				if m, ok := inbox[i-1].(msgRespond); ok && m.Add {
+				if m := inbox[i-1]; kindOf(m) == kindRespond && flagOf(m) {
 					st.inSet[i-1] = true
 				}
 			}
@@ -157,15 +155,15 @@ func phaseIIPruneSteps[S any](pair func(*S) *pairState, i, j int) []pstep[S] {
 			if st.dp != i || st.dpPeer != j || !st.inSet[i-1] {
 				return
 			}
-			buf[i-1] = msgProbe{OtherCovered: st.degInSet() >= 2}
+			buf[i-1] = flagMsg(kindProbe, st.degInSet() >= 2)
 		},
 		recv: func(s *S, inbox []sim.Message) {
 			st := pair(s)
 			st.gotProbe = false
 			if j <= st.deg {
-				if m, ok := inbox[j-1].(msgProbe); ok {
+				if m := inbox[j-1]; kindOf(m) == kindProbe {
 					st.gotProbe = true
-					st.probeOther = m.OtherCovered
+					st.probeOther = flagOf(m)
 				}
 			}
 		},
@@ -177,7 +175,7 @@ func phaseIIPruneSteps[S any](pair func(*S) *pairState, i, j int) []pstep[S] {
 				return
 			}
 			remove := st.probeOther && st.degInSet() >= 2
-			buf[j-1] = msgProbeRespond{Remove: remove}
+			buf[j-1] = flagMsg(kindProbeRespond, remove)
 			if remove {
 				st.inSet[j-1] = false
 			}
@@ -185,7 +183,7 @@ func phaseIIPruneSteps[S any](pair func(*S) *pairState, i, j int) []pstep[S] {
 		recv: func(s *S, inbox []sim.Message) {
 			st := pair(s)
 			if st.dp == i && st.dpPeer == j {
-				if m, ok := inbox[i-1].(msgProbeRespond); ok && m.Remove {
+				if m := inbox[i-1]; kindOf(m) == kindProbeRespond && flagOf(m) {
 					st.inSet[i-1] = false
 				}
 			}

@@ -54,7 +54,7 @@ func portOneProgram(kind string) *program[portOneState] {
 			steps: []pstep[portOneState]{{
 				send: func(st *portOneState, buf []sim.Message) {
 					if len(buf) >= 1 {
-						buf[0] = msgMark{}
+						buf[0] = tagMsg(kindMark)
 					}
 				},
 				recv: func(st *portOneState, inbox []sim.Message) {
@@ -62,7 +62,7 @@ func portOneProgram(kind string) *program[portOneState] {
 						st.chosen[0] = true
 					}
 					for idx, m := range inbox {
-						if _, ok := m.(msgMark); ok {
+						if kindOf(m) == kindMark {
 							st.chosen[idx] = true
 						}
 					}

@@ -20,8 +20,8 @@ import (
 // once the pooled arenas are warm, zero.
 
 // pstep is one synchronous round of a program: send writes the round's
-// outgoing messages into a degree-length buffer that arrives all-nil
-// (nil entries are empty messages; a nil send is a silent round), recv
+// outgoing messages into a degree-length buffer that arrives all-zero
+// (0 entries are empty messages; a nil send is a silent round), recv
 // consumes the round's inbox. The buffer is engine-owned — send must
 // not retain it or any subslice past its return (the outboxalias
 // analyzer enforces this mechanically). Steps operate on the state

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"eds/internal/gen"
@@ -14,7 +13,7 @@ import (
 func TestRegularOddPhaseWindows(t *testing.T) {
 	g := gen.Complete(4) // 3-regular
 	const d = 3
-	tr, opt := sim.NewTrace()
+	tr, opt := sim.NewTrace(KindName)
 	if _, err := sim.RunSequential(g, RegularOdd{}, opt); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -22,18 +21,18 @@ func TestRegularOddPhaseWindows(t *testing.T) {
 		t.Fatalf("rounds = %d, want %d", len(tr.Rounds), 1+4*d*d)
 	}
 	for _, r := range tr.Rounds {
-		for typ := range r.ByType {
+		for k := range r.ByKind {
 			var ok bool
 			switch {
 			case r.Round == 0:
-				ok = typ == fmt.Sprintf("%T", msgLabel{})
+				ok = k == kindLabel.String()
 			case r.Round <= 2*d*d:
-				ok = typ == fmt.Sprintf("%T", msgPropose{}) || typ == fmt.Sprintf("%T", msgRespond{})
+				ok = k == kindPropose.String() || k == kindRespond.String()
 			default:
-				ok = typ == fmt.Sprintf("%T", msgProbe{}) || typ == fmt.Sprintf("%T", msgProbeRespond{})
+				ok = k == kindProbe.String() || k == kindProbeRespond.String()
 			}
 			if !ok {
-				t.Errorf("round %d: unexpected message type %s", r.Round, typ)
+				t.Errorf("round %d: unexpected message kind %s", r.Round, k)
 			}
 		}
 	}
@@ -45,26 +44,26 @@ func TestGeneralPhaseWindows(t *testing.T) {
 	g := gen.Petersen()
 	alg := NewGeneral(3)
 	delta := alg.Delta()
-	tr, opt := sim.NewTrace()
+	tr, opt := sim.NewTrace(KindName)
 	if _, err := sim.RunSequential(g, alg, opt); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	phaseIEnd := 2 * delta * delta // rounds 1..phaseIEnd are phase I
 	for _, r := range tr.Rounds {
-		for typ := range r.ByType {
+		for k := range r.ByKind {
 			var ok bool
 			switch {
 			case r.Round == 0:
-				ok = typ == fmt.Sprintf("%T", msgLabel{})
+				ok = k == kindLabel.String()
 			case r.Round <= phaseIEnd:
-				ok = typ == fmt.Sprintf("%T", msgPropose{}) || typ == fmt.Sprintf("%T", msgRespond{})
+				ok = k == kindPropose.String() || k == kindRespond.String()
 			default:
-				ok = typ == fmt.Sprintf("%T", msgStatus{}) ||
-					typ == fmt.Sprintf("%T", msgProposal{}) ||
-					typ == fmt.Sprintf("%T", msgAnswer{})
+				ok = k == kindStatus.String() ||
+					k == kindProposal.String() ||
+					k == kindAnswer.String()
 			}
 			if !ok {
-				t.Errorf("round %d: unexpected message type %s", r.Round, typ)
+				t.Errorf("round %d: unexpected message kind %s", r.Round, k)
 			}
 		}
 	}
@@ -72,7 +71,7 @@ func TestGeneralPhaseWindows(t *testing.T) {
 	// iteration plus the phase III opener).
 	statusRounds := 0
 	for _, r := range tr.Rounds {
-		if r.ByType[fmt.Sprintf("%T", msgStatus{})] > 0 {
+		if r.ByKind[kindStatus.String()] > 0 {
 			statusRounds++
 		}
 	}

@@ -37,16 +37,16 @@ type badNode struct {
 func (n *badNode) Send(round int) []sim.Message {
 	msgs := make([]sim.Message, n.deg)
 	if time.Now().UnixNano()%2 == 0 { // want `time\.Now`
-		msgs[0] = "tick"
+		msgs[0] = 1
 	}
 	if rand.Intn(2) == 1 { // want `forbids randomness`
-		msgs[0] = "coin"
+		msgs[0] = 2
 	}
 	for p := range n.seen { // want `map iteration order`
-		msgs[p%n.deg] = "replay"
+		msgs[p%n.deg] = 3
 	}
 	if round > epoch { // want `package-level state`
-		msgs[0] = "late"
+		msgs[0] = 4
 	}
 	return msgs
 }
@@ -59,7 +59,7 @@ func (n *badNode) Receive(round int, inbox []sim.Message) {
 		count++
 	}
 	for i, m := range inbox {
-		if m != nil {
+		if m != 0 {
 			n.seen[i] = true
 		}
 	}
@@ -97,7 +97,7 @@ func (n *goodNode) Send(round int) []sim.Message {
 	msgs := make([]sim.Message, n.deg)
 	for i := range msgs {
 		if n.seen[i] {
-			msgs[i] = "ack"
+			msgs[i] = 1
 		}
 	}
 	return msgs
@@ -105,7 +105,7 @@ func (n *goodNode) Send(round int) []sim.Message {
 
 func (n *goodNode) Receive(round int, inbox []sim.Message) {
 	for i, m := range inbox {
-		if m != nil {
+		if m != 0 {
 			n.seen[i] = true
 		}
 	}

@@ -72,7 +72,7 @@ type goodBufferedNode struct {
 
 func (n *goodBufferedNode) SendInto(round int, buf []sim.Message) {
 	for i := 0; i < n.deg; i++ {
-		buf[i] = nil
+		buf[i] = 0
 	}
 }
 
@@ -82,7 +82,7 @@ func goodHook(round int, sent [][]sim.Message) {
 	counts := make([]int, len(sent))
 	for v, row := range sent {
 		for _, m := range row {
-			if m != nil {
+			if m != 0 {
 				counts[v]++
 			}
 		}

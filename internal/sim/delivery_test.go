@@ -65,15 +65,19 @@ type sparseNode struct {
 
 func sparseSends(port, round int) bool { return round%4 != 3 && (port+round)%3 == 0 }
 
+// sparseMsg is the message every sender writes in round: round+1, so
+// that no round's message is the empty word.
+func sparseMsg(round int) sim.Message { return sim.Message(round + 1) }
+
 func (n *sparseNode) SendInto(round int, buf []sim.Message) {
 	for i, m := range buf {
-		if m != nil {
+		if m != 0 {
 			n.rec.violate("round %d: SendInto window slot %d arrived holding %v", round, i, m)
 		}
 	}
 	for i := range buf {
 		if sparseSends(i+1, round) {
-			buf[i] = round
+			buf[i] = sparseMsg(round)
 		}
 	}
 }
@@ -87,13 +91,13 @@ func (n *sparseNode) Send(round int) []sim.Message {
 func (n *sparseNode) Receive(round int, inbox []sim.Message) {
 	got := 0
 	for i, m := range inbox {
-		if m == nil {
+		if m == 0 {
 			continue
 		}
 		got++
 		if round%4 == 3 {
 			n.rec.violate("round %d is silent but port %d received %v", round, i+1, m)
-		} else if m != round {
+		} else if m != sparseMsg(round) {
 			n.rec.violate("round %d: port %d received stale message %v", round, i+1, m)
 		}
 	}
@@ -142,16 +146,16 @@ func runSparse(t *testing.T, label string, run func(*graph.Graph, sim.Algorithm,
 // never shares a buffer between rounds, is the oracle for the result
 // and for the number of messages that reach a live node.
 func TestSendTimeDelivery(t *testing.T) {
-	corpus := append(equivalenceCorpus(t),
-		namedGraph{"Star/K1,5", graph.MustFromUndirected(6, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}})})
+	corpus := append(gen.EquivalenceCorpus(),
+		gen.NamedGraph{Name: "Star/K1,5", G: graph.MustFromUndirected(6, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}})})
 	for _, ng := range corpus {
-		t.Run(ng.name, func(t *testing.T) {
-			ref, refRecv := runSparse(t, "concurrent", sim.RunConcurrent, ng.g)
+		t.Run(ng.Name, func(t *testing.T) {
+			ref, refRecv := runSparse(t, "concurrent", sim.RunConcurrent, ng.G)
 			if ref.Messages == 0 || refRecv == 0 {
 				t.Fatalf("reference run sent %d and delivered %d messages; the test needs traffic", ref.Messages, refRecv)
 			}
-			for _, e := range deliveryEngines(ng.g.N()) {
-				res, recv := runSparse(t, e.name, e.run, ng.g)
+			for _, e := range deliveryEngines(ng.G.N()) {
+				res, recv := runSparse(t, e.name, e.run, ng.G)
 				if !reflect.DeepEqual(res, ref) {
 					t.Errorf("%s: result %+v, channel engine %+v", e.name, res, ref)
 				}
@@ -199,7 +203,7 @@ func (n *noisyNode) Send(round int) []sim.Message {
 	}
 	msgs := make([]sim.Message, n.deg)
 	for i := range msgs {
-		msgs[i] = "noise"
+		msgs[i] = 1
 	}
 	return msgs
 }

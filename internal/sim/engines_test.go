@@ -37,44 +37,6 @@ func engines() []engine {
 	}
 }
 
-type namedGraph struct {
-	name string
-	g    *graph.Graph
-}
-
-// equivalenceCorpus is the graph corpus of the suite: the deterministic
-// classic families plus seeded random regular / bounded-degree graphs and
-// a multigraph with loops and parallel edges.
-func equivalenceCorpus(t testing.TB) []namedGraph {
-	t.Helper()
-	rng := rand.New(rand.NewSource(42))
-	gs := []namedGraph{
-		{"Cycle/9", gen.Cycle(9)},
-		{"Path/12", gen.Path(12)},
-		{"Complete/7", gen.Complete(7)},
-		{"Hypercube/3", gen.Hypercube(3)},
-		{"Torus/3x4", gen.Torus(3, 4)},
-		{"RandomRegular/n=20,d=3", gen.MustRandomRegular(rng, 20, 3)},
-		{"RandomRegular/n=16,d=4", gen.MustRandomRegular(rng, 16, 4)},
-		{"RandomBoundedDegree/n=24,delta=4", gen.RandomBoundedDegree(rng, 24, 4, 0.4)},
-		{"Multigraph/loops", multigraph()},
-	}
-	return gs
-}
-
-// multigraph exercises undirected loops, a directed loop, and parallel
-// edges in one instance.
-func multigraph() *graph.Graph {
-	b := graph.NewBuilder(3)
-	b.MustConnect(0, 1, 0, 2) // undirected loop
-	b.MustConnect(0, 3, 0, 3) // directed loop
-	b.MustConnect(0, 4, 1, 1)
-	b.MustConnect(0, 5, 1, 2) // parallel edge
-	b.MustConnect(1, 3, 2, 1)
-	b.MustConnect(2, 2, 2, 3) // undirected loop on 2
-	return b.MustBuild()
-}
-
 // algorithmsFor returns the paper's full algorithm set instantiated for
 // the graph. Algorithms run even on families outside their guarantee
 // (e.g. RegularOdd on an irregular graph): the output need not be a good
@@ -96,12 +58,12 @@ func algorithmsFor(g *graph.Graph) []sim.Algorithm {
 // with all three engines and demands identical Outputs, Rounds, Messages
 // — or identical errors.
 func TestCrossEngineEquivalence(t *testing.T) {
-	for _, ng := range equivalenceCorpus(t) {
-		for _, alg := range algorithmsFor(ng.g) {
-			t.Run(ng.name+"/"+alg.Name(), func(t *testing.T) {
-				ref, refErr := sim.RunSequential(ng.g, alg)
+	for _, ng := range gen.EquivalenceCorpus() {
+		for _, alg := range algorithmsFor(ng.G) {
+			t.Run(ng.Name+"/"+alg.Name(), func(t *testing.T) {
+				ref, refErr := sim.RunSequential(ng.G, alg)
 				for _, e := range engines()[1:] {
-					res, err := e.run(ng.g, alg)
+					res, err := e.run(ng.G, alg)
 					if (err == nil) != (refErr == nil) {
 						t.Fatalf("%s: err = %v, sequential err = %v", e.name, err, refErr)
 					}
@@ -157,15 +119,15 @@ func TestShardCountInvariance(t *testing.T) {
 // the figures pipeline use the sharded engine on graphs too large for
 // the sequential reference.
 func TestTraceCrossEngineEquivalence(t *testing.T) {
-	for _, ng := range equivalenceCorpus(t) {
-		for _, alg := range algorithmsFor(ng.g) {
-			t.Run(ng.name+"/"+alg.Name(), func(t *testing.T) {
-				seqTrace, seqOpt := sim.NewTrace()
-				if _, err := sim.RunSequential(ng.g, alg, seqOpt); err != nil {
+	for _, ng := range gen.EquivalenceCorpus() {
+		for _, alg := range algorithmsFor(ng.G) {
+			t.Run(ng.Name+"/"+alg.Name(), func(t *testing.T) {
+				seqTrace, seqOpt := sim.NewTrace(core.KindName)
+				if _, err := sim.RunSequential(ng.G, alg, seqOpt); err != nil {
 					t.Fatalf("sequential: %v", err)
 				}
-				shTrace, shOpt := sim.NewTrace()
-				if _, err := sim.RunSharded(ng.g, alg, shOpt, sim.WithShards(runtime.NumCPU())); err != nil {
+				shTrace, shOpt := sim.NewTrace(core.KindName)
+				if _, err := sim.RunSharded(ng.G, alg, shOpt, sim.WithShards(runtime.NumCPU())); err != nil {
 					t.Fatalf("sharded: %v", err)
 				}
 				if !reflect.DeepEqual(seqTrace.Rounds, shTrace.Rounds) {
@@ -184,7 +146,7 @@ func TestTraceCrossEngineEquivalence(t *testing.T) {
 func TestAutoHonoursHookAboveThreshold(t *testing.T) {
 	n := sim.AutoShardedPorts // cycle: 2n ports, comfortably above the cutover
 	g := gen.Cycle(n)
-	tr, opt := sim.NewTrace()
+	tr, opt := sim.NewTrace(core.KindName)
 	res, err := sim.RunAuto(g, core.PortOne{}, opt)
 	if err != nil {
 		t.Fatalf("RunAuto: %v", err)
@@ -196,7 +158,7 @@ func TestAutoHonoursHookAboveThreshold(t *testing.T) {
 		t.Fatalf("trace counted %d messages, result says %d", tr.TotalMessages(), res.Messages)
 	}
 	// Cross-check against the sequential reference on the same graph.
-	refTrace, refOpt := sim.NewTrace()
+	refTrace, refOpt := sim.NewTrace(core.KindName)
 	if _, err := sim.RunSequential(g, core.PortOne{}, refOpt); err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
@@ -376,14 +338,14 @@ func (n *badSendNode) Send(round int) []sim.Message {
 	}
 	msgs := make([]sim.Message, n.deg)
 	for i := range msgs {
-		msgs[i] = "well-formed"
+		msgs[i] = 1
 	}
 	return msgs
 }
 
 func (n *badSendNode) Receive(round int, inbox []sim.Message) {
 	for _, m := range inbox {
-		if m == nil {
+		if m == 0 {
 			panic("sim_test: Receive observed a substitute message from a poisoned round")
 		}
 	}

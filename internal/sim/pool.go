@@ -24,8 +24,9 @@ import (
 // have stopped — the release is deferred before the workers start, so
 // on cancellation, round-limit, or malformed-send exits the deferred
 // worker shutdown runs first and no goroutine can touch a recycled
-// buffer. release clears every pointer-carrying slot (nodes, messages)
-// so the pool never pins node state or message payloads across runs.
+// buffer. release clears the node slots, so the pool never pins node
+// state across runs, and zeroes the message buffers for the next run.
+// Messages are plain words, so the collector never scans those buffers.
 type runState struct {
 	nodes    []Node
 	buffered []BufferedNode // buffered[v] != nil iff nodes[v] has the SendInto fast path
@@ -41,7 +42,7 @@ type runState struct {
 	// Shard s's list lives in the shard's own port range,
 	// delivered[off[lo]:off[lo]+stats[s].sent], so the lists cost one
 	// int32 per port and never grow. The next send phase sets exactly
-	// those outbox[j] and inbox[route[j]] back to nil.
+	// those outbox[j] and inbox[route[j]] back to 0.
 	delivered []int32
 
 	// arenas[s] is shard s's StateArena (index 0 for the concurrent
@@ -64,7 +65,7 @@ type runState struct {
 // shardStat is one shard's slot of per-round accounting. Workers touch
 // only their own slot, so the phases stay race-free by construction.
 type shardStat struct {
-	sent    int   // non-nil messages this round, the delivery list's length
+	sent    int   // nonzero messages this round, the delivery list's length
 	pending int   // nodes not yet retired
 	err     error // first malformed Send or invalid output (lowest node in shard)
 }
@@ -97,7 +98,7 @@ func grow[T any](buf []T, n int) []T {
 // ports global ports, with room for p shards (pass p = 0 for the
 // concurrent engine, which has neither shards nor flat buffers). done
 // and stats come back zeroed, so every delivery list starts empty; the
-// message buffers are all-nil because release cleared them.
+// message buffers are all-zero because release cleared them.
 func acquireState(n, ports, p int) *runState {
 	s := statePool.Get().(*runState)
 	s.nodes = grow(s.nodes, n)
@@ -168,15 +169,15 @@ func (s *runState) buildNodes(g *graph.Graph, a Algorithm, bulk BulkAlgorithm, l
 	return nil
 }
 
-// release clears every reference the state holds — node pointers and
-// boxed messages — and returns it to the pool. The engines call it via
-// defer after all workers have stopped; a released state must never be
-// touched again by the run that held it. The message buffers are
-// cleared whole, not through the delivery lists, so a run that stopped
-// mid-round (an error, or a panic in node code) still hands the next
-// run all-nil buffers. The arenas stay as they are: their chunks hold
-// only ints and bools, so they pin nothing, and keeping them warm is
-// what makes repeat construction allocation-free.
+// release clears the node references the state holds, zeroes the
+// message buffers, and returns the state to the pool. The engines call
+// it via defer after all workers have stopped; a released state must
+// never be touched again by the run that held it. The message buffers
+// are cleared whole, not through the delivery lists, so a run that
+// stopped mid-round (an error, or a panic in node code) still hands the
+// next run all-zero buffers. The arenas stay as they are: their chunks
+// hold only ints and bools, so they pin nothing, and keeping them warm
+// is what makes repeat construction allocation-free.
 func (s *runState) release() {
 	clear(s.nodes)
 	clear(s.buffered)
@@ -203,7 +204,7 @@ func (s *runState) hookRows(off []int32, n int) [][]Message {
 }
 
 // fillSlot produces node v's outgoing messages for this round directly
-// in its outbox window, which arrives all-nil (the send phase has taken
+// in its outbox window, which arrives all-zero (the send phase has taken
 // back the previous round's messages). Nodes implementing BufferedNode
 // write into the engine-owned slot with no allocation and no copy;
 // legacy nodes go through Send and are length-checked, so the

@@ -197,9 +197,9 @@ func (r *shardedRun) outputPhase(s, lo, hi int) {
 }
 
 // sendPhase first sets the slots the shard delivered in the previous
-// round back to nil — the only non-nil ones, so every outbox window
-// arrives all-nil and every silent port's inbox slot reads nil — then
-// writes the shard's outbox windows and delivers each non-nil message
+// round back to 0 — the only nonzero ones, so every outbox window
+// arrives all-zero and every silent port's inbox slot reads 0 — then
+// writes the shard's outbox windows and delivers each nonzero message
 // at once (inbox[route[j]] = outbox[j]), listing j for the next round.
 // The inbox slots may be other shards': that is race-free because no
 // shard reads the inbox in this phase and each slot has one sender. A
@@ -208,8 +208,8 @@ func (r *shardedRun) sendPhase(s, lo, hi int) {
 	st := r.st
 	list := st.delivered[r.off[lo]:r.off[hi]]
 	for _, j := range list[:st.stats[s].sent] {
-		st.outbox[j] = nil
-		st.inbox[r.route[j]] = nil
+		st.outbox[j] = 0
+		st.inbox[r.route[j]] = 0
 	}
 	sent := 0
 	for v := lo; v < hi; v++ {
@@ -223,7 +223,7 @@ func (r *shardedRun) sendPhase(s, lo, hi int) {
 			return
 		}
 		for i, m := range slot {
-			if m != nil {
+			if m != 0 {
 				j := first + int32(i)
 				st.inbox[r.route[j]] = m
 				list[sent] = j
@@ -259,9 +259,9 @@ func (r *shardedRun) recvPhase(s, lo, hi int) {
 // channel barrier:
 //
 //	send:    every shard sets its previous round's delivered slots back
-//	         to nil, writes its nodes' outgoing messages into a flat
+//	         to 0, writes its nodes' outgoing messages into a flat
 //	         outbox indexed by global port number, and delivers each
-//	         non-nil one into its partner's inbox slot, listing the port;
+//	         nonzero one into its partner's inbox slot, listing the port;
 //	receive: every shard hands each live node its contiguous inbox
 //	         slice and retires nodes that report Done.
 //
@@ -280,7 +280,7 @@ func (r *shardedRun) recvPhase(s, lo, hi int) {
 //
 // WithRoundHook is honoured: the hook observes the flat outbox through
 // per-node subslices between the send and receive phases, where no
-// worker is running (retired nodes' slots are nil).
+// worker is running (retired nodes' slots are 0).
 func RunSharded(g *graph.Graph, a Algorithm, opts ...Option) (*Result, error) {
 	c := buildConfig(opts)
 	p := c.shards

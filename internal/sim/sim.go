@@ -14,7 +14,7 @@
 //     channel barrier per phase. Each message is delivered when it is
 //     sent — the send phase writes it into the partner's inbox slot and
 //     lists the port in a per-shard delivery list, and the next send
-//     phase sets only the listed slots back to nil — so a round costs
+//     phase sets only the listed slots back to 0 — so a round costs
 //     O(messages), not O(ports), in the routing layer. It is the
 //     fastest engine on large graphs and the scaling path for
 //     million-node runs; see sharded.go.
@@ -52,9 +52,15 @@ import (
 	"eds/internal/graph"
 )
 
-// Message is the content sent over one port in one round. nil means the
-// empty message; only non-nil messages are counted in Result.Messages.
-type Message any
+// Message is the content sent over one port in one round: one machine
+// word. 0 means the empty message; only nonzero messages are counted in
+// Result.Messages. The engines look at nothing else — what the other
+// values mean is the algorithm's own encoding (the paper's algorithms
+// pack a small kind tag and its fields, see internal/core). A word, not
+// an interface, because the paper's messages are CONGEST-sized: a mark,
+// a flag, a (port, degree) label or one node identifier. So no engine
+// buffer holds a pointer, and writing a message never allocates.
+type Message uint64
 
 // Node is the state machine one node runs. The engine calls Send, then
 // delivers the round's incoming messages via Receive; after Receive it
@@ -85,7 +91,7 @@ type Node interface {
 // The contract of SendInto mirrors Send with the buffer inverted:
 //
 //   - buf has exactly one entry per port (index 0 is port 1) and every
-//     entry is nil on entry; write the round's non-nil messages and
+//     entry is 0 on entry; write the round's nonzero messages and
 //     leave empty ports untouched.
 //   - buf is a view of an engine buffer that is recycled at the next
 //     round barrier. Retaining buf, a reslice of it, or any alias past
@@ -94,14 +100,13 @@ type Node interface {
 //     (internal/lint) flags mechanically. Retaining the message values
 //     written into it is always fine.
 //
-// All four paper algorithms in internal/core implement BufferedNode;
-// their steady-state message payloads are empty or single-bool structs,
-// which Go boxes without heap allocation, so a full round of theirs
-// allocates nothing on the sharded engine.
+// All paper algorithms in internal/core implement BufferedNode; a
+// Message is a plain word, so writing one allocates nothing, and a
+// full round of theirs allocates nothing on the sharded engine.
 type BufferedNode interface {
 	Node
 	// SendInto writes the outgoing message for each port into buf, which
-	// arrives all-nil with exactly one entry per port.
+	// arrives all-zero with exactly one entry per port.
 	SendInto(round int, buf []Message)
 }
 
@@ -164,7 +169,7 @@ type Result struct {
 	// Rounds is the number of communication rounds until every node
 	// stopped.
 	Rounds int
-	// Messages counts non-nil messages sent over the whole execution.
+	// Messages counts nonzero messages sent over the whole execution.
 	Messages int
 }
 
@@ -371,7 +376,7 @@ func RunConcurrent(g *graph.Graph, a Algorithm, opts ...Option) (*Result, error)
 	// no Receive ever observes the substitute messages of a malformed
 	// Send — the same abort point as the sequential and sharded engines.
 	start := make([]chan bool, n)
-	reports := make(chan int, n) // send half: non-nil count; receive half: completion
+	reports := make(chan int, n) // send half: nonzero count; receive half: completion
 	// A malformed Send cannot abort the send half (peers' channels must
 	// be filled to keep the half-round barrier alive), so the worker
 	// records the error, substitutes empty messages, and the coordinator
@@ -430,7 +435,7 @@ func RunConcurrent(g *graph.Graph, a Algorithm, opts ...Option) (*Result, error)
 						}
 					}
 					for _, m := range out {
-						if m != nil {
+						if m != 0 {
 							sentCount++
 						}
 					}
@@ -535,7 +540,9 @@ func collectOutputs(g *graph.Graph, a Algorithm, nodes []Node) ([][]int, error) 
 // ports land in one freshly allocated flat buffer — OutputAppender
 // nodes write onto it directly, legacy nodes are copied — and each
 // node's row becomes a capped subslice, so collection costs O(1)
-// allocations per range instead of one per node. Rows may alias the
+// allocations per range instead of one per node. The buffer is sized
+// once to the range's port count, which bounds every valid output, so
+// it never regrows unless an output is invalid. Rows may alias the
 // shared buffer but never each other, and a node with no output keeps
 // a nil row, so Results stay byte-identical (reflect.DeepEqual) no
 // matter which engine or shard count produced them. The first invalid
@@ -543,7 +550,8 @@ func collectOutputs(g *graph.Graph, a Algorithm, nodes []Node) ([][]int, error) 
 // reference; safe for concurrent calls on disjoint ranges because the
 // buffer is call-local and outputs rows are per-node.
 func collectOutputsRange(g *graph.Graph, a Algorithm, nodes []Node, lo, hi int, outputs [][]int) error {
-	var flat []int
+	off := g.PortOffsets()
+	flat := make([]int, 0, off[hi]-off[lo])
 	ends := make([]int, hi-lo)
 	for v := lo; v < hi; v++ {
 		start := len(flat)

@@ -15,6 +15,9 @@ import (
 // mark port 1, select every edge that touches a port numbered 1.
 type markAlg struct{}
 
+// mark is markAlg's one message.
+const mark Message = 1
+
 func (markAlg) Name() string            { return "mark-port-one" }
 func (markAlg) NewNode(degree int) Node { return &markNode{deg: degree} }
 
@@ -27,7 +30,7 @@ type markNode struct {
 func (n *markNode) Send(round int) []Message {
 	msgs := make([]Message, n.deg)
 	if n.deg > 0 {
-		msgs[0] = "mark"
+		msgs[0] = mark
 	}
 	return msgs
 }
@@ -37,7 +40,7 @@ func (n *markNode) Receive(round int, inbox []Message) {
 		n.out = append(n.out, 1)
 	}
 	for i, m := range inbox {
-		if m == "mark" && i != 0 {
+		if m == mark && i != 0 {
 			n.out = append(n.out, i+1)
 		}
 	}
@@ -61,14 +64,14 @@ type sumNode struct {
 func (n *sumNode) Send(round int) []Message {
 	msgs := make([]Message, n.deg)
 	for i := range msgs {
-		msgs[i] = n.sum
+		msgs[i] = Message(n.sum)
 	}
 	return msgs
 }
 
 func (n *sumNode) Receive(round int, inbox []Message) {
 	for _, m := range inbox {
-		n.sum += m.(int)
+		n.sum += int(m)
 	}
 	n.left--
 }
@@ -207,7 +210,7 @@ type varNode struct{ deg, left int }
 func (n *varNode) Send(round int) []Message {
 	msgs := make([]Message, n.deg)
 	for i := range msgs {
-		msgs[i] = "tick"
+		msgs[i] = 1
 	}
 	return msgs
 }
@@ -339,7 +342,7 @@ func TestRoundHookSeesMessages(t *testing.T) {
 		rounds++
 		for _, row := range sent {
 			for _, m := range row {
-				if m != nil {
+				if m != 0 {
 					total++
 				}
 			}

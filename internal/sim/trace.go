@@ -7,7 +7,7 @@ import (
 )
 
 // Trace records the message profile of an execution round by round:
-// how many messages were sent and of which payload types. Attach it to a
+// how many messages were sent and of which kinds. Attach it to a
 // sequential, sharded, or auto run with its Option; it is the machinery
 // behind the per-phase communication profiles in the experiment reports.
 // Traces are engine-independent: the sharded engine produces the exact
@@ -21,22 +21,25 @@ type Trace struct {
 type RoundTrace struct {
 	Round    int
 	Messages int
-	ByType   map[string]int
+	ByKind   map[string]int
 }
 
 // NewTrace returns an empty trace and the option that attaches it to a
-// run. The sequential and sharded engines (and RunAuto, which only ever
-// picks between the two) support tracing; the concurrent engine rejects
+// run. kind names the kind of each nonzero message; a Message is the
+// algorithm's own encoding, so the package that defines the messages
+// supplies it (core.KindName for the paper's algorithms). The
+// sequential and sharded engines (and RunAuto, which only ever picks
+// between the two) support tracing; the concurrent engine rejects
 // traced runs with ErrHookUnsupported.
-func NewTrace() (*Trace, Option) {
+func NewTrace(kind func(Message) string) (*Trace, Option) {
 	t := &Trace{}
 	return t, WithRoundHook(func(round int, sent [][]Message) {
-		rt := RoundTrace{Round: round, ByType: make(map[string]int)}
+		rt := RoundTrace{Round: round, ByKind: make(map[string]int)}
 		for _, row := range sent {
 			for _, m := range row {
-				if m != nil {
+				if m != 0 {
 					rt.Messages++
-					rt.ByType[fmt.Sprintf("%T", m)]++
+					rt.ByKind[kind(m)]++
 				}
 			}
 		}
@@ -53,30 +56,30 @@ func (t *Trace) TotalMessages() int {
 	return total
 }
 
-// TypeTotals aggregates the per-type counts over the whole run.
-func (t *Trace) TypeTotals() map[string]int {
+// KindTotals aggregates the per-kind counts over the whole run.
+func (t *Trace) KindTotals() map[string]int {
 	out := make(map[string]int)
 	for _, r := range t.Rounds {
-		for typ, c := range r.ByType {
-			out[typ] += c
+		for k, c := range r.ByKind {
+			out[k] += c
 		}
 	}
 	return out
 }
 
 // String renders a compact profile: total rounds and messages, the
-// per-type totals, and the busiest round.
+// per-kind totals, and the busiest round.
 func (t *Trace) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "rounds: %d, messages: %d\n", len(t.Rounds), t.TotalMessages())
-	totals := t.TypeTotals()
-	types := make([]string, 0, len(totals))
-	for typ := range totals {
-		types = append(types, typ)
+	totals := t.KindTotals()
+	kinds := make([]string, 0, len(totals))
+	for k := range totals {
+		kinds = append(kinds, k)
 	}
-	sort.Strings(types)
-	for _, typ := range types {
-		fmt.Fprintf(&sb, "  %-24s %6d\n", typ, totals[typ])
+	sort.Strings(kinds)
+	for _, k := range kinds {
+		fmt.Fprintf(&sb, "  %-24s %6d\n", k, totals[k])
 	}
 	busiest := -1
 	for i, r := range t.Rounds {

@@ -9,9 +9,12 @@ import (
 	"eds/internal/gen"
 )
 
+// sumKind names sumAlg's one message kind for its traces.
+func sumKind(Message) string { return "sum" }
+
 func TestTraceRecordsProfile(t *testing.T) {
 	g := gen.Cycle(5)
-	tr, opt := NewTrace()
+	tr, opt := NewTrace(sumKind)
 	res, err := RunSequential(g, sumAlg{rounds: 3}, opt)
 	if err != nil {
 		t.Fatalf("RunSequential: %v", err)
@@ -22,12 +25,12 @@ func TestTraceRecordsProfile(t *testing.T) {
 	if tr.TotalMessages() != res.Messages {
 		t.Errorf("trace counted %d messages, result says %d", tr.TotalMessages(), res.Messages)
 	}
-	totals := tr.TypeTotals()
-	if totals["int"] != res.Messages {
-		t.Errorf("TypeTotals = %v, want all %d messages of type int", totals, res.Messages)
+	totals := tr.KindTotals()
+	if totals["sum"] != res.Messages {
+		t.Errorf("KindTotals = %v, want all %d messages of kind sum", totals, res.Messages)
 	}
 	out := tr.String()
-	for _, want := range []string{"rounds: 3", "int", "busiest round"} {
+	for _, want := range []string{"rounds: 3", "sum", "busiest round"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("String missing %q:\n%s", want, out)
 		}
@@ -42,7 +45,7 @@ func TestTraceRecordsProfile(t *testing.T) {
 // cancellation.
 func TestConcurrentHookUnsupported(t *testing.T) {
 	g := gen.Cycle(5)
-	tr, opt := NewTrace()
+	tr, opt := NewTrace(sumKind)
 	res, err := RunConcurrent(g, sumAlg{rounds: 3}, opt)
 	if !errors.Is(err, ErrHookUnsupported) {
 		t.Fatalf("RunConcurrent with hook: err = %v, want ErrHookUnsupported", err)
@@ -72,9 +75,9 @@ func TestConcurrentHookUnsupported(t *testing.T) {
 		name string
 		run  func() (*Result, error)
 	}{
-		{"sequential", func() (*Result, error) { _, o := NewTrace(); return RunSequential(g, sumAlg{rounds: 3}, o) }},
-		{"sharded", func() (*Result, error) { _, o := NewTrace(); return RunSharded(g, sumAlg{rounds: 3}, o) }},
-		{"auto", func() (*Result, error) { _, o := NewTrace(); return RunAuto(g, sumAlg{rounds: 3}, o) }},
+		{"sequential", func() (*Result, error) { _, o := NewTrace(sumKind); return RunSequential(g, sumAlg{rounds: 3}, o) }},
+		{"sharded", func() (*Result, error) { _, o := NewTrace(sumKind); return RunSharded(g, sumAlg{rounds: 3}, o) }},
+		{"auto", func() (*Result, error) { _, o := NewTrace(sumKind); return RunAuto(g, sumAlg{rounds: 3}, o) }},
 	} {
 		if _, err := tc.run(); err != nil {
 			t.Errorf("%s engine rejected a hooked run: %v", tc.name, err)
@@ -84,7 +87,7 @@ func TestConcurrentHookUnsupported(t *testing.T) {
 
 func TestTraceEmptyRun(t *testing.T) {
 	g := gen.PerfectMatching(2)
-	tr, opt := NewTrace()
+	tr, opt := NewTrace(func(Message) string { return "mark" })
 	// markAlg stops after one round.
 	if _, err := RunSequential(g, markAlg{}, opt); err != nil {
 		t.Fatalf("RunSequential: %v", err)
