@@ -130,7 +130,7 @@ func BenchmarkAblation(b *testing.B) {
 		var last int
 		var rounds int
 		for i := 0; i < b.N; i++ {
-			mm, res, err := sim.RunToEdgeSet(c.G, core.NewIDMatching())
+			mm, res, err := sim.RunToEdgeSet(c.G, core.IDMatching{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -160,8 +160,7 @@ func BenchmarkScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkEngines compares the deterministic sequential engine against
-// the goroutine-per-node channel engine on the same workload.
+// BenchmarkEngines times the sequential engine on a mid-sized workload.
 func BenchmarkEngines(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	g := gen.MustRandomRegular(rng, 512, 5)
@@ -173,16 +172,9 @@ func BenchmarkEngines(b *testing.B) {
 			}
 		}
 	})
-	b.Run("Concurrent", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunConcurrent(g, alg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
-// BenchmarkSharded compares all three engines on large instances of the
+// BenchmarkSharded compares both engines on large instances of the
 // classic families — the workload class the sharded flat-buffer engine
 // exists for — and then pushes the sharded engine alone to a million
 // nodes. Per-iteration graph construction is excluded from the timing.
@@ -194,7 +186,6 @@ func BenchmarkSharded(b *testing.B) {
 		run  func(*graph.Graph, sim.Algorithm, ...sim.Option) (*sim.Result, error)
 	}{
 		{"sequential", sim.RunSequential},
-		{"concurrent", sim.RunConcurrent},
 		{"sharded", sim.RunSharded},
 	}
 	families := []struct {

@@ -5,14 +5,14 @@
 // Usage:
 //
 //	edsrun -graph cycle:12 -alg auto
-//	edsrun -graph regular:n=20,d=3 -alg regularodd -engine concurrent
+//	edsrun -graph regular:n=20,d=3 -alg regularodd -engine sharded -shards 3
 //	edsrun -graph regular:n=100000,d=3 -alg regularodd -engine sharded -shards 8
 //	edsrun -graph evenlb:d=6 -alg portone -dot out.dot
 //
-// Engines: sequential (reference), concurrent (goroutine per node),
-// sharded (flat-buffer engine, one worker per CPU by default), auto
-// (sharded above 4096 nodes, sequential below). All engines produce
-// identical results.
+// Engines: sequential (one shard, inline), sharded (flat-buffer engine,
+// one worker per CPU by default), auto (sharded once the graph has
+// sim.AutoShardedPorts ports and more than one CPU is usable,
+// sequential otherwise). All engines produce identical results.
 //
 // Graphs: cycle:N, path:N, complete:N, hypercube:DIM, torus:RxC,
 // petersen, matching:K, regular:n=N,d=D, bounded:n=N,delta=D,
@@ -38,12 +38,12 @@ func main() {
 	log.SetPrefix("edsrun: ")
 	graphSpec := flag.String("graph", "cycle:12", "graph specification (see -help)")
 	algSpec := flag.String("alg", "auto", "algorithm: auto|portone|regularodd|regularodd-nopruning|general[:D]|alledges")
-	engine := flag.String("engine", "sequential", "engine: sequential|concurrent|sharded|auto")
+	engine := flag.String("engine", "sequential", "engine: sequential|sharded|auto")
 	shards := flag.Int("shards", 0, "worker shards for the sharded engine (0 = one per CPU)")
 	seed := flag.Int64("seed", 1, "seed for random graph families")
 	dotOut := flag.String("dot", "", "write a DOT rendering with the output highlighted")
 	exact := flag.Bool("exact", false, "also compute the exact optimum (exponential; small graphs only)")
-	profile := flag.Bool("profile", false, "print the per-message-kind communication profile (sequential, sharded, and auto engines)")
+	profile := flag.Bool("profile", false, "print the per-message-kind communication profile")
 	flag.Parse()
 
 	g, opt, err := spec.Graph(*graphSpec, *seed)
@@ -70,12 +70,6 @@ func main() {
 		res, err = sim.RunAuto(g, alg, append(traceOpts(), sim.WithShards(*shards))...)
 	case "sequential":
 		res, err = sim.RunSequential(g, alg, traceOpts()...)
-	case "concurrent":
-		// The concurrent engine rejects hooked runs with a documented
-		// sim.ErrHookUnsupported; passing the trace option through keeps
-		// the CLI aligned with the engine's contract instead of
-		// duplicating the policy here.
-		res, err = sim.RunConcurrent(g, alg, traceOpts()...)
 	case "sharded":
 		res, err = sim.RunSharded(g, alg, append(traceOpts(), sim.WithShards(*shards))...)
 	default:

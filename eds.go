@@ -11,13 +11,11 @@
 //     generate classic and random families via the helpers below;
 //   - pick an algorithm with PortOne, RegularOdd, General, or let
 //     ForGraph choose the one with the optimal guarantee for your graph;
-//   - execute with Run (deterministic sequential reference engine),
-//     RunConcurrent (goroutine-per-node, channel message passing — the
-//     literal embedding of the model), RunSharded (flat-buffer engine
-//     sharded across the CPUs — the fast path for large graphs), or
-//     RunAuto (picks an engine by graph size). All engines return
-//     identical results on every input; internal/sim's cross-engine
-//     equivalence suite enforces it;
+//   - execute with Run (deterministic sequential engine), RunSharded
+//     (flat-buffer engine sharded across the CPUs — the fast path for
+//     large graphs), or RunAuto (picks one of the two by graph size).
+//     Both engines return identical results on every input;
+//     internal/sim's cross-engine equivalence suite enforces it;
 //   - check feasibility and quality with IsEdgeDominatingSet,
 //     MinimumEdgeDominatingSet, and TightRatio.
 //
@@ -56,34 +54,22 @@ type (
 	Edge = graph.Edge
 	// EdgeSet is a set of edges of one particular graph.
 	EdgeSet = graph.EdgeSet
-	// Algorithm is a distributed algorithm in the port-numbering model.
+	// Algorithm is a distributed algorithm in the port-numbering model:
+	// BuildNodes constructs whole node ranges at once, with per-node
+	// state carved from an engine-owned StateArena (see CONTRIBUTING.md
+	// and the arenaalias analyzer).
 	Algorithm = sim.Algorithm
-	// Node is one node's state machine: Send produces the round's
-	// outgoing messages, Receive consumes the incoming ones.
+	// Node is one node's state machine: SendInto writes the round's
+	// outgoing messages into an engine-owned buffer that must not be
+	// retained past the call, Receive consumes the incoming ones, and
+	// AppendOutput reports the chosen ports.
 	Node = sim.Node
 	// Message is one message on one port: a uint64 word whose meaning
 	// the algorithm defines; 0 means "no message".
 	Message = sim.Message
-	// BufferedNode is the optional zero-allocation extension of Node:
-	// SendInto writes the round's messages directly into an
-	// engine-owned buffer instead of returning a fresh slice. Engines
-	// detect it once per run; the buffer must not be retained past the
-	// call (see CONTRIBUTING.md and the outboxalias analyzer).
-	BufferedNode = sim.BufferedNode
-	// BulkAlgorithm is the optional bulk-construction extension of
-	// Algorithm: BuildNodes constructs whole node ranges at once, with
-	// per-node state carved from an engine-owned StateArena in O(1)
-	// slabs, and the sharded engine builds all shards in parallel.
-	// Arena-carved state must not be retained past the run (see
-	// CONTRIBUTING.md and the arenaalias analyzer).
-	BulkAlgorithm = sim.BulkAlgorithm
 	// StateArena is the engines' bump allocator for per-node algorithm
 	// state, recycled with the pooled run state.
 	StateArena = sim.StateArena
-	// OutputAppender is the optional zero-allocation extension of
-	// Output: AppendOutput writes the node's chosen ports onto the
-	// engines' flat output buffer.
-	OutputAppender = sim.OutputAppender
 	// Timings is the per-run wall-clock split (setup, rounds, outputs)
 	// recorded by WithTimings.
 	Timings = sim.Timings
@@ -103,11 +89,6 @@ var (
 	// canceled or times out; the error also wraps context.Canceled or
 	// context.DeadlineExceeded accordingly.
 	ErrCanceled = sim.ErrCanceled
-	// ErrHookUnsupported is returned by RunConcurrent when a round hook
-	// (e.g. a trace) is attached: the concurrent engine has no barrier
-	// window in which a consistent outbox exists. Hooked runs belong on
-	// Run, RunSharded, or RunAuto.
-	ErrHookUnsupported = sim.ErrHookUnsupported
 )
 
 // WithContext makes a run cancellable: every engine polls the context at
@@ -119,7 +100,7 @@ func WithContext(ctx context.Context) Option { return sim.WithContext(ctx) }
 func WithMaxRounds(n int) Option { return sim.WithMaxRounds(n) }
 
 // WithShards sets the worker count of the sharded engine (<= 0 selects
-// one shard per CPU). Other engines ignore it.
+// one shard per CPU). Run ignores it.
 func WithShards(p int) Option { return sim.WithShards(p) }
 
 // WithTimings makes the engine record its setup/rounds/outputs
@@ -208,27 +189,19 @@ func Run(g *Graph, a Algorithm, opts ...Option) (*EdgeSet, *Result, error) {
 	return runWith(sim.RunSequential, g, a, opts...)
 }
 
-// RunConcurrent executes the algorithm with one goroutine per node and
-// capacity-1 channels carrying the messages, then returns the selected
-// edge set. The result is always identical to Run's. Runs with a round
-// hook attached fail with ErrHookUnsupported.
-func RunConcurrent(g *Graph, a Algorithm, opts ...Option) (*EdgeSet, *Result, error) {
-	return runWith(sim.RunConcurrent, g, a, opts...)
-}
-
 // RunSharded executes the algorithm on the sharded flat-buffer engine:
 // nodes are partitioned across the CPUs and messages travel through a
 // precomputed flat routing table with no channels and no per-round
 // allocation. The result is always identical to Run's; on large graphs
-// this is by far the fastest engine.
+// this is the fastest engine.
 func RunSharded(g *Graph, a Algorithm, opts ...Option) (*EdgeSet, *Result, error) {
 	return runWith(sim.RunSharded, g, a, opts...)
 }
 
 // RunAuto picks an engine by setup volume (sim.EngineChoice: the
-// sequential reference for small graphs or single-CPU processes, the
+// sequential engine for small graphs or single-CPU processes, the
 // sharded engine once the port count crosses sim.AutoShardedPorts on
-// multi-core) and returns the selected edge set. Every engine returns
+// multi-core) and returns the selected edge set. Both engines return
 // identical results, so the choice affects only the wall-clock time.
 func RunAuto(g *Graph, a Algorithm, opts ...Option) (*EdgeSet, *Result, error) {
 	return runWith(sim.RunAuto, g, a, opts...)

@@ -79,12 +79,12 @@ func TestEnginesAgreeViaFacade(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	d2, _, err := eds.RunConcurrent(g, alg)
+	d2, _, err := eds.RunSharded(g, alg, eds.WithShards(3))
 	if err != nil {
-		t.Fatalf("RunConcurrent: %v", err)
+		t.Fatalf("RunSharded(P=3): %v", err)
 	}
 	if !d1.Equal(d2) {
-		t.Error("sequential and concurrent engines disagree")
+		t.Error("sequential and 3-shard engines disagree")
 	}
 	d3, _, err := eds.RunSharded(g, alg)
 	if err != nil {

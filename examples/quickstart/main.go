@@ -34,12 +34,13 @@ func main() {
 	fmt.Printf("selected %d edges in %d round(s) with %d messages\n",
 		d.Count(), res.Rounds, res.Messages)
 
-	// ...and on the goroutine-per-node engine: same output, by design.
-	d2, _, err := eds.RunConcurrent(g, alg)
+	// ...and on the sharded engine with three workers: same output, by
+	// design.
+	d2, _, err := eds.RunSharded(g, alg, eds.WithShards(3))
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("concurrent engine agrees: %v\n", d.Equal(d2))
+	fmt.Printf("sharded engine agrees: %v\n", d.Equal(d2))
 
 	// The output is always a feasible edge dominating set.
 	fmt.Printf("feasible edge dominating set: %v\n", eds.IsEdgeDominatingSet(g, d))

@@ -142,11 +142,11 @@ func TestEnginesAgreeOnRealAlgorithms(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s sequential: %v", a.Name(), err)
 			}
-			con, err := sim.RunConcurrent(g, a)
+			sh, err := sim.RunSharded(g, a, sim.WithShards(3))
 			if err != nil {
-				t.Fatalf("%s concurrent: %v", a.Name(), err)
+				t.Fatalf("%s sharded: %v", a.Name(), err)
 			}
-			if !reflect.DeepEqual(seq.Outputs, con.Outputs) {
+			if !reflect.DeepEqual(seq.Outputs, sh.Outputs) {
 				t.Errorf("%s: engines disagree", a.Name())
 			}
 		}

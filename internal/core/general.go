@@ -37,10 +37,7 @@ type General struct {
 	delta int // normalised: odd, >= 3
 }
 
-var (
-	_ sim.Algorithm     = General{}
-	_ sim.BulkAlgorithm = General{}
-)
+var _ sim.Algorithm = General{}
 
 // NewGeneral returns A(Δ) for graphs of maximum degree at most Δ. It
 // panics if delta < 2; use AllEdges for Δ = 1.
@@ -98,10 +95,10 @@ type generalState struct {
 
 func initGeneralState(st *generalState, deg int, arena *sim.StateArena) {
 	st.pairState.init(deg, arena)
-	st.inP = arenaBools(arena, deg)
-	st.nbrCovered = arenaBools(arena, deg)
-	st.eligible = arenaInts(arena, deg)[:0]
-	st.proposalPorts = arenaInts(arena, deg)[:0]
+	st.inP = arena.Bools(deg)
+	st.nbrCovered = arena.Bools(deg)
+	st.eligible = arena.Ints(deg)[:0]
+	st.proposalPorts = arena.Ints(deg)[:0]
 	st.proposedPort = -1
 }
 
@@ -109,12 +106,7 @@ func initGeneralState(st *generalState, deg int, arena *sim.StateArena) {
 // step builders hook into.
 func generalPair(st *generalState) *pairState { return &st.pairState }
 
-// NewNode implements sim.Algorithm.
-func (a General) NewNode(degree int) sim.Node {
-	return newProgNode(generalProgram(a.Name(), a.delta), degree)
-}
-
-// BuildNodes implements sim.BulkAlgorithm: one shared program (the
+// BuildNodes implements sim.Algorithm: one shared program (the
 // schedule depends only on Δ), one node slab, state carved from the
 // shard's arena.
 func (a General) BuildNodes(g *graph.Graph, lo, hi int, arena *sim.StateArena, nodes []sim.Node) {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"eds/internal/graph"
 	"eds/internal/sim"
 )
@@ -30,47 +28,25 @@ import (
 // remain. Unlike the paper's algorithms the running time necessarily
 // depends on n — that dependence is exactly what Section 1.3 discusses.
 //
-// Identifiers are assigned by creation order, which every engine fixes
-// to the node index — the bulk construction path makes that explicit by
-// assigning id = node index directly: the "IDs exist" assumption, made
-// concrete.
-type IDMatching struct {
-	counter *atomic.Int64
-}
+// Every node's identifier is its node index: the "IDs exist"
+// assumption, made concrete.
+type IDMatching struct{}
 
-var (
-	_ sim.Algorithm     = IDMatching{}
-	_ sim.BulkAlgorithm = IDMatching{}
-)
-
-// NewIDMatching returns a fresh instance (the ID counter is per
-// instance; do not reuse one instance across runs).
-func NewIDMatching() IDMatching {
-	return IDMatching{counter: &atomic.Int64{}}
-}
+var _ sim.Algorithm = IDMatching{}
 
 // Name implements sim.Algorithm.
 func (IDMatching) Name() string { return "idmatching" }
 
-// NewNode implements sim.Algorithm.
-func (a IDMatching) NewNode(degree int) sim.Node {
-	id := int(a.counter.Add(1)) - 1
-	return &idNode{id: id, deg: degree, nbrID: make([]int, degree),
-		nbrMatched: make([]bool, degree), pointedAt: -1, matchedPort: -1}
-}
-
-// BuildNodes implements sim.BulkAlgorithm: the range shares one value
-// slab and the shard's arena, and every node's identifier is its node
-// index — exactly the ID the creation-order counter of NewNode hands
-// out when the engines construct nodes in ascending order, but safe to
-// run on all shards at once.
-func (a IDMatching) BuildNodes(g *graph.Graph, lo, hi int, arena *sim.StateArena, nodes []sim.Node) {
+// BuildNodes implements sim.Algorithm: the range shares one value slab
+// and the shard's arena, and every node's identifier is its node index,
+// so all shards can build at once.
+func (IDMatching) BuildNodes(g *graph.Graph, lo, hi int, arena *sim.StateArena, nodes []sim.Node) {
 	slab := make([]idNode, hi-lo)
 	for i := range slab {
 		v := lo + i
 		deg := g.Deg(v)
-		slab[i] = idNode{id: v, deg: deg, nbrID: arenaInts(arena, deg),
-			nbrMatched: arenaBools(arena, deg), pointedAt: -1, matchedPort: -1}
+		slab[i] = idNode{id: v, deg: deg, nbrID: arena.Ints(deg),
+			nbrMatched: arena.Bools(deg), pointedAt: -1, matchedPort: -1}
 		nodes[i] = &slab[i]
 	}
 }
@@ -86,11 +62,7 @@ type idNode struct {
 	round       int
 }
 
-var (
-	_ sim.Node           = (*idNode)(nil)
-	_ sim.BufferedNode   = (*idNode)(nil)
-	_ sim.OutputAppender = (*idNode)(nil)
-)
+var _ sim.Node = (*idNode)(nil)
 
 func (n *idNode) matched() bool { return n.matchedPort >= 0 }
 
@@ -104,8 +76,8 @@ func (n *idNode) hasActiveNeighbour() bool {
 	return false
 }
 
-// SendInto implements sim.BufferedNode, writing the round's messages
-// straight into the engine-owned buffer. Every message, the ID included,
+// SendInto implements sim.Node, writing the round's messages straight
+// into the engine-owned buffer. Every message, the ID included,
 // is one word, so no round allocates.
 func (n *idNode) SendInto(round int, buf []sim.Message) {
 	switch {
@@ -137,14 +109,6 @@ func (n *idNode) SendInto(round int, buf []sim.Message) {
 			}
 		}
 	}
-}
-
-// Send implements the legacy allocation path; the engines prefer
-// SendInto.
-func (n *idNode) Send(round int) []sim.Message {
-	msgs := make([]sim.Message, n.deg)
-	n.SendInto(round, msgs)
-	return msgs
 }
 
 func (n *idNode) Receive(round int, inbox []sim.Message) {
@@ -185,14 +149,7 @@ func (n *idNode) Receive(round int, inbox []sim.Message) {
 
 func (n *idNode) Done() bool { return n.done }
 
-func (n *idNode) Output() []int {
-	if n.matchedPort >= 0 {
-		return []int{n.matchedPort + 1}
-	}
-	return nil
-}
-
-// AppendOutput implements sim.OutputAppender.
+// AppendOutput implements sim.Node.
 func (n *idNode) AppendOutput(dst []int) []int {
 	if n.matchedPort >= 0 {
 		return append(dst, n.matchedPort+1)

@@ -18,7 +18,7 @@ func TestIDMatchingMaximalQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.RandomBoundedDegree(rng, 4+rng.Intn(16), 1+rng.Intn(5), 0.5)
-		mm, res, err := sim.RunToEdgeSet(g, core.NewIDMatching())
+		mm, res, err := sim.RunToEdgeSet(g, core.IDMatching{})
 		if err != nil {
 			return false
 		}
@@ -41,7 +41,7 @@ func TestIDsBreakTheAdversarialConstruction(t *testing.T) {
 	// at most 2.
 	for _, d := range []int{4, 6, 8} {
 		c := lowerbound.MustEven(d)
-		mm, _, err := sim.RunToEdgeSet(c.G, core.NewIDMatching())
+		mm, _, err := sim.RunToEdgeSet(c.G, core.IDMatching{})
 		if err != nil {
 			t.Fatalf("d=%d: %v", d, err)
 		}
@@ -62,15 +62,15 @@ func TestIDsBreakTheAdversarialConstruction(t *testing.T) {
 func TestIDMatchingEnginesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := gen.MustRandomRegular(rng, 12, 3)
-	seq, err := sim.RunSequential(g, core.NewIDMatching())
+	seq, err := sim.RunSequential(g, core.IDMatching{})
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
-	con, err := sim.RunConcurrent(g, core.NewIDMatching())
+	sh, err := sim.RunSharded(g, core.IDMatching{}, sim.WithShards(3))
 	if err != nil {
-		t.Fatalf("concurrent: %v", err)
+		t.Fatalf("sharded: %v", err)
 	}
-	if !reflect.DeepEqual(seq.Outputs, con.Outputs) {
+	if !reflect.DeepEqual(seq.Outputs, sh.Outputs) {
 		t.Error("engines disagree on IDMatching")
 	}
 }
@@ -78,7 +78,7 @@ func TestIDMatchingEnginesAgree(t *testing.T) {
 func TestIDMatchingOnEdgeCases(t *testing.T) {
 	t.Run("single edge", func(t *testing.T) {
 		g := gen.Path(2)
-		mm, _, err := sim.RunToEdgeSet(g, core.NewIDMatching())
+		mm, _, err := sim.RunToEdgeSet(g, core.IDMatching{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestIDMatchingOnEdgeCases(t *testing.T) {
 		}
 	})
 	t.Run("isolated nodes", func(t *testing.T) {
-		g, err := sim.RunSequential(gen.PerfectMatching(1), core.NewIDMatching())
+		g, err := sim.RunSequential(gen.PerfectMatching(1), core.IDMatching{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestIDMatchingOnEdgeCases(t *testing.T) {
 	})
 	t.Run("star", func(t *testing.T) {
 		g := gen.Star(6)
-		mm, _, err := sim.RunToEdgeSet(g, core.NewIDMatching())
+		mm, _, err := sim.RunToEdgeSet(g, core.IDMatching{})
 		if err != nil {
 			t.Fatal(err)
 		}

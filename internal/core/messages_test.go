@@ -135,7 +135,7 @@ func TestCongestMessageShape(t *testing.T) {
 		// IDMatching needs a simple graph: over a self-loop a node
 		// points at itself, never matches, and never stops.
 		if g.IsSimple() {
-			cases = append(cases, shapeCase{NewIDMatching(), map[msgKind]fieldCheck{kindID: id, kindIDStatus: flag, kindPoint: tag}})
+			cases = append(cases, shapeCase{IDMatching{}, map[msgKind]fieldCheck{kindID: id, kindIDStatus: flag, kindPoint: tag}})
 		}
 		for _, tc := range cases {
 			t.Run(ng.Name+"/"+tc.alg.Name(), func(t *testing.T) {

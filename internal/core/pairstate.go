@@ -8,8 +8,8 @@ import (
 // distinguishable edges (Theorems 4 and 5): the label-exchange results,
 // the distinguishable port, and the per-port membership flags of the set
 // under construction. The slices are carved from the engine's
-// StateArena by init (heap-backed on the legacy NewNode path), so a
-// slab of pairStates costs no per-node allocations.
+// StateArena by init, so a slab of pairStates costs no per-node
+// allocations.
 type pairState struct {
 	deg     int
 	peer    []int // peer port number per own port
@@ -26,9 +26,9 @@ type pairState struct {
 
 func (st *pairState) init(deg int, arena *sim.StateArena) {
 	st.deg = deg
-	st.peer = arenaInts(arena, deg)
-	st.peerDeg = arenaInts(arena, deg)
-	st.inSet = arenaBools(arena, deg)
+	st.peer = arena.Ints(deg)
+	st.peerDeg = arena.Ints(deg)
+	st.inSet = arena.Bools(deg)
 }
 
 func (st *pairState) covered() bool {

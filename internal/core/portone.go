@@ -15,10 +15,7 @@ import (
 // node contributes at most one port-1 edge, |D| <= |V|.
 type PortOne struct{}
 
-var (
-	_ sim.Algorithm     = PortOne{}
-	_ sim.BulkAlgorithm = PortOne{}
-)
+var _ sim.Algorithm = PortOne{}
 
 // Name implements sim.Algorithm.
 func (PortOne) Name() string { return "portone" }
@@ -31,12 +28,7 @@ type portOneState struct {
 	chosen []bool
 }
 
-// NewNode implements sim.Algorithm.
-func (a PortOne) NewNode(degree int) sim.Node {
-	return newProgNode(portOneProgram(a.Name()), degree)
-}
-
-// BuildNodes implements sim.BulkAlgorithm.
+// BuildNodes implements sim.Algorithm.
 func (a PortOne) BuildNodes(g *graph.Graph, lo, hi int, arena *sim.StateArena, nodes []sim.Node) {
 	prog := portOneProgram(a.Name())
 	buildProgNodes(g, lo, hi, arena, nodes, func(int) *program[portOneState] { return prog })
@@ -49,7 +41,7 @@ func portOneProgram(kind string) *program[portOneState] {
 	return cachedProgram(kind, 0, func() *program[portOneState] {
 		return &program[portOneState]{
 			init: func(st *portOneState, deg int, arena *sim.StateArena) {
-				st.chosen = arenaBools(arena, deg)
+				st.chosen = arena.Bools(deg)
 			},
 			steps: []pstep[portOneState]{{
 				send: func(st *portOneState, buf []sim.Message) {
@@ -81,10 +73,7 @@ func portOneProgram(kind string) *program[portOneState] {
 // must be in any edge dominating set.
 type AllEdges struct{}
 
-var (
-	_ sim.Algorithm     = AllEdges{}
-	_ sim.BulkAlgorithm = AllEdges{}
-)
+var _ sim.Algorithm = AllEdges{}
 
 // Name implements sim.Algorithm.
 func (AllEdges) Name() string { return "alledges" }
@@ -92,12 +81,7 @@ func (AllEdges) Name() string { return "alledges" }
 // Rounds returns the round count of the algorithm: always 0.
 func (AllEdges) Rounds(int) int { return 0 }
 
-// NewNode implements sim.Algorithm.
-func (a AllEdges) NewNode(degree int) sim.Node {
-	return newProgNode(allEdgesProgram(a.Name()), degree)
-}
-
-// BuildNodes implements sim.BulkAlgorithm.
+// BuildNodes implements sim.Algorithm.
 func (a AllEdges) BuildNodes(g *graph.Graph, lo, hi int, arena *sim.StateArena, nodes []sim.Node) {
 	prog := allEdgesProgram(a.Name())
 	buildProgNodes(g, lo, hi, arena, nodes, func(int) *program[struct{}] { return prog })

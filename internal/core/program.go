@@ -39,9 +39,7 @@ type pstep[S any] struct {
 type program[S any] struct {
 	steps []pstep[S]
 	// init prepares a node's zeroed state: carving slices from the
-	// engine-owned arena (nil arena — the legacy NewNode path — falls
-	// back to the heap via arenaInts/arenaBools) and setting non-zero
-	// sentinel fields.
+	// engine-owned arena and setting non-zero sentinel fields.
 	init func(st *S, deg int, arena *sim.StateArena)
 	// output appends the node's chosen 1-based ports to dst.
 	output func(st *S, deg int, dst []int) []int
@@ -58,27 +56,15 @@ type progNode[S any] struct {
 	st   S
 }
 
-var (
-	_ sim.Node           = (*progNode[struct{}])(nil)
-	_ sim.BufferedNode   = (*progNode[struct{}])(nil)
-	_ sim.OutputAppender = (*progNode[struct{}])(nil)
-)
+var _ sim.Node = (*progNode[struct{}])(nil)
 
-// SendInto implements sim.BufferedNode: the engines hand progNode its
-// outbox window directly, so a steady-state round of every compiled
-// algorithm allocates nothing.
+// SendInto implements sim.Node: the engines hand progNode its outbox
+// window directly, so a steady-state round of every compiled algorithm
+// allocates nothing.
 func (n *progNode[S]) SendInto(round int, buf []sim.Message) {
 	if send := n.prog.steps[n.pc].send; send != nil {
 		send(&n.st, buf)
 	}
-}
-
-// Send implements the legacy allocation path; the engines prefer
-// SendInto and only call this through the fallback for plain sim.Nodes.
-func (n *progNode[S]) Send(round int) []sim.Message {
-	msgs := make([]sim.Message, n.deg)
-	n.SendInto(round, msgs)
-	return msgs
 }
 
 func (n *progNode[S]) Receive(round int, inbox []sim.Message) {
@@ -90,8 +76,8 @@ func (n *progNode[S]) Receive(round int, inbox []sim.Message) {
 
 func (n *progNode[S]) Done() bool { return n.pc >= len(n.prog.steps) }
 
-// AppendOutput implements sim.OutputAppender, writing the chosen ports
-// straight onto the engines' flat output buffer.
+// AppendOutput implements sim.Node, writing the chosen ports straight
+// onto the engines' flat output buffer.
 func (n *progNode[S]) AppendOutput(dst []int) []int {
 	if n.prog.output == nil {
 		return dst
@@ -99,22 +85,7 @@ func (n *progNode[S]) AppendOutput(dst []int) []int {
 	return n.prog.output(&n.st, n.deg, dst)
 }
 
-func (n *progNode[S]) Output() []int {
-	return n.AppendOutput(nil)
-}
-
-// newProgNode builds one node the legacy way: heap-allocated, state
-// carved from the heap (nil arena). The Algorithm.NewNode paths stay on
-// it; the engines use buildProgNodes through BulkAlgorithm instead.
-func newProgNode[S any](prog *program[S], deg int) *progNode[S] {
-	n := &progNode[S]{prog: prog, deg: deg}
-	if prog.init != nil {
-		prog.init(&n.st, deg, nil)
-	}
-	return n
-}
-
-// buildProgNodes implements the BulkAlgorithm contract for compiled
+// buildProgNodes implements sim.Algorithm.BuildNodes for compiled
 // algorithms: one value slab for the whole [lo, hi) range (the single
 // per-shard allocation), per-node state carved from the shard's arena,
 // programs resolved through prog with a last-degree memo so regular
@@ -136,23 +107,6 @@ func buildProgNodes[S any](g *graph.Graph, lo, hi int, arena *sim.StateArena, no
 		}
 		nodes[i] = n
 	}
-}
-
-// arenaInts carves n ints from the arena, or from the heap when the
-// caller has no arena (the legacy NewNode path).
-func arenaInts(a *sim.StateArena, n int) []int {
-	if a == nil {
-		return make([]int, n)
-	}
-	return a.Ints(n)
-}
-
-// arenaBools is arenaInts for bools.
-func arenaBools(a *sim.StateArena, n int) []bool {
-	if a == nil {
-		return make([]bool, n)
-	}
-	return a.Bools(n)
 }
 
 // appendChosen appends the 1-based ports whose flag is set.

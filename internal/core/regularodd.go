@@ -28,10 +28,7 @@ type RegularOdd struct {
 	SkipPruning bool
 }
 
-var (
-	_ sim.Algorithm     = RegularOdd{}
-	_ sim.BulkAlgorithm = RegularOdd{}
-)
+var _ sim.Algorithm = RegularOdd{}
 
 // Name implements sim.Algorithm.
 func (a RegularOdd) Name() string {
@@ -49,12 +46,7 @@ func (a RegularOdd) Rounds(d int) int {
 	return 1 + 4*d*d
 }
 
-// NewNode implements sim.Algorithm.
-func (a RegularOdd) NewNode(degree int) sim.Node {
-	return newProgNode(regularOddProgram(a.Name(), degree, a.SkipPruning), degree)
-}
-
-// BuildNodes implements sim.BulkAlgorithm: the whole node range shares
+// BuildNodes implements sim.Algorithm: the whole node range shares
 // one value slab and the shard's arena, with one compiled program per
 // degree class.
 func (a RegularOdd) BuildNodes(g *graph.Graph, lo, hi int, arena *sim.StateArena, nodes []sim.Node) {

@@ -28,10 +28,7 @@ type VertexCover3 struct {
 	Delta int
 }
 
-var (
-	_ sim.Algorithm     = VertexCover3{}
-	_ sim.BulkAlgorithm = VertexCover3{}
-)
+var _ sim.Algorithm = VertexCover3{}
 
 // Name implements sim.Algorithm.
 func (a VertexCover3) Name() string { return fmt.Sprintf("vertexcover3(Δ=%d)", a.Delta) }
@@ -39,12 +36,7 @@ func (a VertexCover3) Name() string { return fmt.Sprintf("vertexcover3(Δ=%d)", 
 // Rounds returns the schedule length: 2Δ.
 func (a VertexCover3) Rounds(int) int { return 2 * a.Delta }
 
-// NewNode implements sim.Algorithm.
-func (a VertexCover3) NewNode(degree int) sim.Node {
-	return newProgNode(vertexCover3Program(a.Name(), a.Delta), degree)
-}
-
-// BuildNodes implements sim.BulkAlgorithm.
+// BuildNodes implements sim.Algorithm.
 func (a VertexCover3) BuildNodes(g *graph.Graph, lo, hi int, arena *sim.StateArena, nodes []sim.Node) {
 	prog := vertexCover3Program(a.Name(), a.Delta)
 	buildProgNodes(g, lo, hi, arena, nodes, func(int) *program[generalState] { return prog })

@@ -110,7 +110,7 @@ func TestFormatStudy(t *testing.T) {
 }
 
 func TestEngineScalingAgreesAcrossEngines(t *testing.T) {
-	engines := []string{"sequential", "concurrent", "sharded"}
+	engines := []string{"sequential", "sharded"}
 	rows, err := EngineScaling(11, 3, []int{32, 64}, engines)
 	if err != nil {
 		t.Fatalf("EngineScaling: %v", err)

@@ -82,8 +82,7 @@ type EngineRow struct {
 
 // EngineScaling times every named engine on the same random d-regular
 // graph of each size, verifying along the way that rounds and message
-// counts agree across engines. Engine names: sequential, concurrent,
-// sharded.
+// counts agree across engines. Engine names: sequential, sharded.
 func EngineScaling(seed int64, d int, sizes []int, engines []string) ([]EngineRow, error) {
 	rng := rand.New(rand.NewSource(seed))
 	var alg sim.Algorithm

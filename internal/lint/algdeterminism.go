@@ -25,8 +25,8 @@ import (
 //     both determinism and the sharded engine's race-freedom).
 //
 // These are exactly the bugs the cross-engine equivalence suite cannot
-// catch reliably: a map-ordered Send can agree across engines for many
-// seeds and diverge on the next, so the property must hold by
+// catch reliably: a map-ordered SendInto can agree across engines for
+// many seeds and diverge on the next, so the property must hold by
 // construction.
 var AlgDeterminism = &analysis.Analyzer{
 	Name: "algdeterminism",
@@ -95,7 +95,7 @@ func checkDeterminism(pass *analysis.Pass, method string, body ast.Node, msgType
 			if _, isMap := t.Underlying().(*types.Map); !isMap {
 				return true
 			}
-			if method == "Send" || method == "Output" || emitsFromLoop(pass, n.Body, msgType) {
+			if method == "SendInto" || method == "AppendOutput" || emitsFromLoop(pass, n.Body, msgType) {
 				pass.Reportf(n.Pos(), "map iteration order feeds message emission or port selection in %s: emitted messages would differ between runs and engines; iterate sorted keys instead", method)
 			}
 		case *ast.Ident:

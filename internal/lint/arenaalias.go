@@ -13,9 +13,9 @@ import (
 // one run. The engines rewind the arenas when the run's state returns
 // to the pool, so a carve retained beyond the run aliases memory that a
 // later, unrelated run will zero and hand out again. Like the outbox
-// buffers, the corruption is engine-dependent — the legacy NewNode path
-// heap-allocates and never recycles — which is precisely the class of
-// divergence the equivalence suite cannot see.
+// buffers, the corruption shows only when a later run reuses the pooled
+// arena, after the run that leaked the carve was compared and passed —
+// precisely the class of divergence the equivalence suite cannot see.
 //
 // Within any function or closure that receives a *sim.StateArena
 // parameter (BuildNodes implementations, program init hooks, carve
@@ -35,8 +35,8 @@ import (
 //     disjoint shard ranges, and an escaping goroutine outlives them
 //     all.
 //
-// Free functions may return carves (arenaInts-style helpers are the
-// sanctioned pattern); the analysis is intraprocedural, so only direct
+// Free functions may return carves (carve helpers are the sanctioned
+// pattern); the analysis is intraprocedural, so only direct
 // arena.Ints/arena.Bools results are tracked through such helpers'
 // bodies, not their call sites.
 var ArenaAlias = &analysis.Analyzer{

@@ -16,7 +16,6 @@ import (
 // so the two facts must move together.
 var engineBaseline = map[string]bool{
 	"sequential": true,
-	"concurrent": true,
 	"sharded":    true,
 }
 

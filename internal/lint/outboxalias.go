@@ -9,13 +9,12 @@ import (
 )
 
 // OutboxAlias enforces the lifetime contract of the engines' flat
-// message buffers. The sharded engine hands round hooks a zero-copy
-// view of its outbox ([][]sim.Message backed by one flat array), every
-// engine reuses the inbox slice it passes to Receive, and the
-// BufferedNode fast path hands SendInto a window into the pooled flat
-// outbox itself; all are overwritten at the next round barrier, and
-// the pooled buffers outlive the run — a retained SendInto slice can
-// alias a later, unrelated run's outbox. Any code that retains such a
+// message buffers. The engines hand round hooks a zero-copy view of
+// their outbox ([][]sim.Message backed by one flat array), reuse the
+// inbox slice they pass to Receive, and hand SendInto a window into the
+// pooled flat outbox itself; all are overwritten at the next round
+// barrier, and the pooled buffers outlive the run — a retained SendInto
+// slice can alias a later, unrelated run's outbox. Any code that retains such a
 // slice past the call observes torn, recycled data — and only on the
 // engines that reuse buffers, which is exactly the class of divergence
 // the equivalence suite can miss when the retained data is inspected

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"time"
 
+	"eds/internal/graph"
 	"eds/internal/sim"
 )
 
@@ -23,9 +24,10 @@ var _ sim.Algorithm = Bad{}
 
 func (Bad) Name() string { return "bad" }
 
-func (Bad) NewNode(degree int) sim.Node {
-	seen := map[int]bool{}
-	return &badNode{deg: degree, seen: seen}
+func (Bad) BuildNodes(g *graph.Graph, lo, hi int, arena *sim.StateArena, nodes []sim.Node) {
+	for i := range nodes {
+		nodes[i] = &badNode{deg: g.Deg(lo + i), seen: map[int]bool{}}
+	}
 }
 
 type badNode struct {
@@ -34,21 +36,19 @@ type badNode struct {
 	pc   int
 }
 
-func (n *badNode) Send(round int) []sim.Message {
-	msgs := make([]sim.Message, n.deg)
+func (n *badNode) SendInto(round int, buf []sim.Message) {
 	if time.Now().UnixNano()%2 == 0 { // want `time\.Now`
-		msgs[0] = 1
+		buf[0] = 1
 	}
 	if rand.Intn(2) == 1 { // want `forbids randomness`
-		msgs[0] = 2
+		buf[0] = 2
 	}
 	for p := range n.seen { // want `map iteration order`
-		msgs[p%n.deg] = 3
+		buf[p%n.deg] = 3
 	}
 	if round > epoch { // want `package-level state`
-		msgs[0] = 4
+		buf[0] = 4
 	}
-	return msgs
 }
 
 func (n *badNode) Receive(round int, inbox []sim.Message) {
@@ -68,12 +68,11 @@ func (n *badNode) Receive(round int, inbox []sim.Message) {
 
 func (n *badNode) Done() bool { return n.pc >= 2 }
 
-func (n *badNode) Output() []int {
-	var out []int
+func (n *badNode) AppendOutput(dst []int) []int {
 	for p := range n.seen { // want `map iteration order`
-		out = append(out, p+1)
+		dst = append(dst, p+1)
 	}
-	return out
+	return dst
 }
 
 // Good is the deterministic twin: same protocol, lawful state handling.
@@ -83,24 +82,23 @@ var _ sim.Algorithm = Good{}
 
 func (Good) Name() string { return "good" }
 
-func (Good) NewNode(degree int) sim.Node {
-	return &goodNode{deg: degree, seen: make([]bool, degree)}
+func (Good) BuildNodes(g *graph.Graph, lo, hi int, arena *sim.StateArena, nodes []sim.Node) {
+	for i := range nodes {
+		nodes[i] = &goodNode{seen: arena.Bools(g.Deg(lo + i))}
+	}
 }
 
 type goodNode struct {
-	deg  int
 	seen []bool
 	pc   int
 }
 
-func (n *goodNode) Send(round int) []sim.Message {
-	msgs := make([]sim.Message, n.deg)
-	for i := range msgs {
+func (n *goodNode) SendInto(round int, buf []sim.Message) {
+	for i := range buf {
 		if n.seen[i] {
-			msgs[i] = 1
+			buf[i] = 1
 		}
 	}
-	return msgs
 }
 
 func (n *goodNode) Receive(round int, inbox []sim.Message) {
@@ -114,12 +112,11 @@ func (n *goodNode) Receive(round int, inbox []sim.Message) {
 
 func (n *goodNode) Done() bool { return n.pc >= 2 }
 
-func (n *goodNode) Output() []int {
-	var out []int
+func (n *goodNode) AppendOutput(dst []int) []int {
 	for i, s := range n.seen {
 		if s {
-			out = append(out, i+1)
+			dst = append(dst, i+1)
 		}
 	}
-	return out
+	return dst
 }

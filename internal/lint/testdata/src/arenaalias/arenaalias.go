@@ -24,8 +24,7 @@ type leakyAlg struct {
 	arena   *sim.StateArena
 }
 
-func (leakyAlg) Name() string                { return "leaky" }
-func (leakyAlg) NewNode(degree int) sim.Node { return nil }
+func (leakyAlg) Name() string { return "leaky" }
 
 func (a *leakyAlg) BuildNodes(g *graph.Graph, lo, hi int, arena *sim.StateArena, nodes []sim.Node) {
 	a.cache = arena.Ints(hi - lo)    // want `stored in an algorithm field`
@@ -58,8 +57,7 @@ type goodNode struct {
 
 type goodAlg struct{}
 
-func (goodAlg) Name() string                { return "good" }
-func (goodAlg) NewNode(degree int) sim.Node { return nil }
+func (goodAlg) Name() string { return "good" }
 
 func (goodAlg) BuildNodes(g *graph.Graph, lo, hi int, arena *sim.StateArena, nodes []sim.Node) {
 	slab := make([]goodNode, hi-lo)
@@ -73,12 +71,9 @@ func (goodAlg) BuildNodes(g *graph.Graph, lo, hi int, arena *sim.StateArena, nod
 	latestPeers = snapshot
 }
 
-// carveInts mirrors core's arenaInts helper: free functions may return
-// carves — the caller decides the lifetime, and the intraprocedural
-// analysis checks each caller against its own arena parameter.
+// carveInts is a carve helper: free functions may return carves — the
+// caller decides the lifetime, and the intraprocedural analysis checks
+// each caller against its own arena parameter.
 func carveInts(arena *sim.StateArena, n int) []int {
-	if arena == nil {
-		return make([]int, n)
-	}
 	return arena.Ints(n)
 }

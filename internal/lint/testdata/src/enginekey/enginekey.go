@@ -17,7 +17,6 @@ type runner = func(*graph.Graph, sim.Algorithm, ...sim.Option) (*sim.Result, err
 func Engines() map[string]runner {
 	return map[string]runner{
 		"sequential": sim.RunSequential,
-		"concurrent": sim.RunConcurrent,
 		"sharded":    sim.RunSharded,
 		"frontier":   sim.RunSharded,    // want `not in the asserted-equivalent baseline`
 		"replay":     sim.RunSequential, // enginekey:equivalent — asserted by TestEngineEquivalence

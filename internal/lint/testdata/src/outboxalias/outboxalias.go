@@ -44,33 +44,33 @@ func leakyContainer(table map[int][]sim.Message, round int, sent [][]sim.Message
 	table[round] = sent[0] // want `stored in a container element`
 }
 
-// leakyBufferedNode plants the SendInto half of the invariant: the buf
-// handed to a BufferedNode is a window into the engine's pooled flat
+// leakySendNode plants the SendInto half of the invariant: the buf
+// handed to a node's SendInto is a window into the engine's pooled flat
 // outbox, rewritten every round and returned to a sync.Pool when the
 // run ends. Stashing it gives the node a view of whatever the *next*
 // run writes there.
-type leakyBufferedNode struct {
+type leakySendNode struct {
 	stash []sim.Message
 	deg   int
 }
 
-func (n *leakyBufferedNode) SendInto(round int, buf []sim.Message) {
+func (n *leakySendNode) SendInto(round int, buf []sim.Message) {
 	n.stash = buf // want `stored in a field`
 }
 
-func leakyBufferedClosure(out chan<- []sim.Message) func(round int, buf []sim.Message) {
+func leakySendClosure(out chan<- []sim.Message) func(round int, buf []sim.Message) {
 	return func(round int, buf []sim.Message) {
 		out <- buf // want `sent on a channel`
 	}
 }
 
-// goodBufferedNode writes into the buffer and keeps nothing: the whole
+// goodSendNode writes into the buffer and keeps nothing: the whole
 // point of the SendInto contract.
-type goodBufferedNode struct {
+type goodSendNode struct {
 	deg int
 }
 
-func (n *goodBufferedNode) SendInto(round int, buf []sim.Message) {
+func (n *goodSendNode) SendInto(round int, buf []sim.Message) {
 	for i := 0; i < n.deg; i++ {
 		buf[i] = 0
 	}

@@ -93,7 +93,7 @@ func TestServerHappyPath(t *testing.T) {
 	}
 
 	// Every engine name must be accepted and agree.
-	for _, engine := range []string{"sequential", "concurrent", "sharded"} {
+	for _, engine := range []string{"sequential", "sharded"} {
 		resp, body2 := postRun(t, ts.Client(), ts.URL, "?alg=portone&engine="+engine, graphBytes(t, g))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("engine %s: status = %d, body %s", engine, resp.StatusCode, body2)
@@ -162,6 +162,7 @@ func TestServerBadRequests(t *testing.T) {
 		{"empty body", "", "", http.StatusBadRequest},
 		{"unknown algorithm", "?alg=zigzag", string(cycle), http.StatusBadRequest},
 		{"unknown engine", "?engine=quantum", string(cycle), http.StatusBadRequest},
+		{"concurrent engine", "?engine=concurrent", string(cycle), http.StatusBadRequest},
 		{"bad timeout", "?timeout=soon", string(cycle), http.StatusBadRequest},
 		{"negative timeout", "?timeout=-5s", string(cycle), http.StatusBadRequest},
 		{"bad shards", "?shards=many", string(cycle), http.StatusBadRequest},

@@ -1,11 +1,11 @@
 //go:build !race
 
-// Allocation regression suite for the zero-allocation fast path: the
+// Allocation regression suite for the zero-allocation contract: the
 // sharded engine must not allocate in steady-state rounds, neither in
 // its own machinery (pooled run state, persistent workers, flat
-// buffers) nor on behalf of the migrated algorithms (BufferedNode
-// writes straight into the engine-owned outbox, and a message is one
-// word, so writing it allocates nothing). The suite is excluded under
+// buffers) nor on behalf of the algorithms (SendInto writes straight
+// into the engine-owned outbox, and a message is one word, so writing
+// it allocates nothing). The suite is excluded under
 // -race because the race runtime instruments allocations and would
 // report spurious counts.
 package sim_test
@@ -23,26 +23,24 @@ import (
 	"eds/internal/sim"
 )
 
-// spin is a message-free BufferedNode algorithm with a configurable
-// round count. Two runs that differ only in round count isolate the
-// engine's own per-round allocation cost: any difference in total
-// allocations is chargeable to the extra rounds alone.
+// spin is a message-free algorithm with a configurable round count.
+// Two runs that differ only in round count isolate the engine's own
+// per-round allocation cost: any difference in total allocations is
+// chargeable to the extra rounds alone.
 type spin struct{ rounds int }
 
-func (spin) Name() string                  { return "spin" }
-func (s spin) NewNode(degree int) sim.Node { return &spinNode{deg: degree, left: s.rounds} }
-func (s spin) Rounds(int) int              { return s.rounds }
+func (spin) Name() string { return "spin" }
+func (s spin) BuildNodes(g *graph.Graph, lo, hi int, _ *sim.StateArena, nodes []sim.Node) {
+	sim.BuildEach(g, lo, nodes, func(int) sim.Node { return &spinNode{left: s.rounds} })
+}
+func (s spin) Rounds(int) int { return s.rounds }
 
-type spinNode struct{ deg, left int }
+type spinNode struct{ left int }
 
 func (n *spinNode) SendInto(round int, buf []sim.Message)  {}
 func (n *spinNode) Receive(round int, inbox []sim.Message) { n.left-- }
 func (n *spinNode) Done() bool                             { return n.left <= 0 }
-func (n *spinNode) Output() []int                          { return nil }
-
-func (n *spinNode) Send(round int) []sim.Message { return make([]sim.Message, n.deg) }
-
-var _ sim.BufferedNode = (*spinNode)(nil)
+func (n *spinNode) AppendOutput(dst []int) []int           { return dst }
 
 // disableGC turns the collector off for the duration of a measurement so
 // sync.Pool contents survive and allocation counts are deterministic.
@@ -108,7 +106,7 @@ func TestMigratedAlgorithmsZeroAllocSteadyState(t *testing.T) {
 		{"RegularOdd/d=3", gen.MustRandomRegular(rng, 128, 3), func() sim.Algorithm { return core.RegularOdd{} }},
 		{"RegularOdd/d=5", gen.MustRandomRegular(rng, 64, 5), func() sim.Algorithm { return core.RegularOdd{} }},
 		{"General/delta=3", gen.RandomBoundedDegree(rng, 128, 3, 0.5), func() sim.Algorithm { return core.NewGeneral(3) }},
-		{"IDMatching", gen.MustRandomRegular(rng, 64, 3), func() sim.Algorithm { return core.NewIDMatching() }},
+		{"IDMatching", gen.MustRandomRegular(rng, 64, 3), func() sim.Algorithm { return core.IDMatching{} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -166,7 +164,7 @@ func TestSetupAllocationBudget(t *testing.T) {
 		{"PortOne", func() sim.Algorithm { return core.PortOne{} }},
 		{"General/delta=3", func() sim.Algorithm { return core.NewGeneral(3) }},
 		{"VertexCover3", func() sim.Algorithm { return core.VertexCover3{Delta: 3} }},
-		{"IDMatching", func() sim.Algorithm { return core.NewIDMatching() }},
+		{"IDMatching", func() sim.Algorithm { return core.IDMatching{} }},
 	}
 	engines := []struct {
 		name string
@@ -201,81 +199,4 @@ func TestSetupAllocationBudget(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestLegacyFallbackStillWorks pins the compatibility contract: a plain
-// sim.Node without SendInto takes the copying fallback on every engine
-// and produces the same results as its BufferedNode twin.
-func TestLegacyFallbackStillWorks(t *testing.T) {
-	g := gen.Cycle(64)
-	want, err := sim.RunSequential(g, core.PortOne{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sim.RunSharded(g, legacyPortOne{}, sim.WithShards(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Outputs) != len(want.Outputs) {
-		t.Fatalf("output length mismatch: %d vs %d", len(got.Outputs), len(want.Outputs))
-	}
-	for v := range want.Outputs {
-		if len(got.Outputs[v]) != len(want.Outputs[v]) {
-			t.Fatalf("node %d: outputs differ: %v vs %v", v, got.Outputs[v], want.Outputs[v])
-		}
-		for i := range want.Outputs[v] {
-			if got.Outputs[v][i] != want.Outputs[v][i] {
-				t.Fatalf("node %d: outputs differ: %v vs %v", v, got.Outputs[v], want.Outputs[v])
-			}
-		}
-	}
-}
-
-// legacyPortOne reimplements PortOne as a plain Send-allocating node, so
-// the fallback path stays covered by a real protocol even though all
-// shipped algorithms now implement BufferedNode.
-type legacyPortOne struct{}
-
-func (legacyPortOne) Name() string { return "legacy-portone" }
-
-func (legacyPortOne) NewNode(degree int) sim.Node {
-	return &legacyPortOneNode{deg: degree, chosen: make([]bool, degree)}
-}
-
-type legacyPortOneNode struct {
-	deg    int
-	chosen []bool
-	done   bool
-}
-
-func (n *legacyPortOneNode) Send(round int) []sim.Message {
-	msgs := make([]sim.Message, n.deg)
-	if n.deg >= 1 {
-		msgs[0] = 1
-	}
-	return msgs
-}
-
-func (n *legacyPortOneNode) Receive(round int, inbox []sim.Message) {
-	if n.deg >= 1 {
-		n.chosen[0] = true
-	}
-	for idx, m := range inbox {
-		if m == 1 {
-			n.chosen[idx] = true
-		}
-	}
-	n.done = true
-}
-
-func (n *legacyPortOneNode) Done() bool { return n.done }
-
-func (n *legacyPortOneNode) Output() []int {
-	out := make([]int, 0, len(n.chosen))
-	for idx, c := range n.chosen {
-		if c {
-			out = append(out, idx+1)
-		}
-	}
-	return out
 }

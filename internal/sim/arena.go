@@ -1,9 +1,9 @@
 package sim
 
-// StateArena is a bump allocator for per-node algorithm state. A
-// BulkAlgorithm carves its nodes' int and bool slices out of a small
-// number of large chunks instead of allocating one heap object per
-// node, so constructing a 100k-node run costs O(1) allocations, not
+// StateArena is a bump allocator for per-node algorithm state.
+// Algorithm.BuildNodes carves its nodes' int and bool slices out of a
+// small number of large chunks instead of allocating one heap object
+// per node, so constructing a 100k-node run costs O(1) allocations, not
 // O(n) — and because the arenas live inside the pooled runState, a
 // steady-state workload of one recurring graph shape reaches zero
 // construction allocations after its first run: the chunks are

@@ -61,7 +61,7 @@ func TestEngineChoiceNamesAreEngines(t *testing.T) {
 }
 
 // TestRunAutoMatchesEngineChoice runs RunAuto on graphs straddling the
-// boundary and checks the result matches the sequential reference —
+// boundary and checks the result matches the sequential engine —
 // whatever engine the policy picked, Results must be identical.
 func TestRunAutoMatchesEngineChoice(t *testing.T) {
 	for _, n := range []int{64, AutoShardedPorts} { // cycle: 2n ports

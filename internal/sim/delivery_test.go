@@ -1,10 +1,12 @@
 // Delivery contract suite: messages are delivered at send time into the
-// partner's inbox slot, and the next send phase sets back to nil only
-// the slots it listed. These tests pin what that must preserve — every
-// SendInto window arrives all-nil, every inbox holds exactly this
+// partner's inbox slot, and the next send phase sets back to 0 only the
+// slots it listed. These tests pin what that must preserve — every
+// SendInto window arrives all-zero, every inbox holds exactly this
 // round's messages and nothing stale, a silent round delivers nothing —
 // on sparse, round-dependent send patterns over the whole equivalence
-// corpus, and across pooled runs that stopped mid-schedule.
+// corpus, and across pooled runs that stopped mid-schedule. The dense
+// reference loop (sim.RunReference), which allocates fresh buffers
+// every round, is the oracle.
 package sim_test
 
 import (
@@ -54,13 +56,15 @@ func (r *deliveryRecorder) count(n int) {
 }
 
 func (sparseAlg) Name() string { return "sparse-rounds" }
-func (a sparseAlg) NewNode(degree int) sim.Node {
-	return &sparseNode{deg: degree, stop: 3 + 2*degree, rec: a.rec}
+func (a sparseAlg) BuildNodes(g *graph.Graph, lo, hi int, _ *sim.StateArena, nodes []sim.Node) {
+	sim.BuildEach(g, lo, nodes, func(degree int) sim.Node {
+		return &sparseNode{stop: 3 + 2*degree, rec: a.rec}
+	})
 }
 
 type sparseNode struct {
-	deg, stop, round int
-	rec              *deliveryRecorder
+	stop, round int
+	rec         *deliveryRecorder
 }
 
 func sparseSends(port, round int) bool { return round%4 != 3 && (port+round)%3 == 0 }
@@ -82,12 +86,6 @@ func (n *sparseNode) SendInto(round int, buf []sim.Message) {
 	}
 }
 
-func (n *sparseNode) Send(round int) []sim.Message {
-	buf := make([]sim.Message, n.deg)
-	n.SendInto(round, buf)
-	return buf
-}
-
 func (n *sparseNode) Receive(round int, inbox []sim.Message) {
 	got := 0
 	for i, m := range inbox {
@@ -105,13 +103,11 @@ func (n *sparseNode) Receive(round int, inbox []sim.Message) {
 	n.round++
 }
 
-func (n *sparseNode) Done() bool    { return n.round >= n.stop }
-func (n *sparseNode) Output() []int { return nil }
+func (n *sparseNode) Done() bool                   { return n.round >= n.stop }
+func (n *sparseNode) AppendOutput(dst []int) []int { return dst }
 
-var _ sim.BufferedNode = (*sparseNode)(nil)
-
-// deliveryEngines are the flat-buffer engine configurations: the
-// sequential engine and the sharded engine at P ∈ {1, 2, NumCPU, n}.
+// deliveryEngines are the engine configurations: the sequential engine
+// and the sharded engine at P ∈ {1, 2, NumCPU, n}.
 func deliveryEngines(n int) []engine {
 	es := []engine{{"sequential", sim.RunSequential}}
 	for _, p := range []int{1, 2, runtime.NumCPU(), n} {
@@ -142,25 +138,25 @@ func runSparse(t *testing.T, label string, run func(*graph.Graph, sim.Algorithm,
 // TestSendTimeDelivery runs the sparse algorithm over the equivalence
 // corpus (loops, parallel edges and mixed termination included; on the
 // added star the centre outlives its leaves by many rounds, sending
-// into retired nodes) on every flat-buffer engine configuration. The channel engine, which
-// never shares a buffer between rounds, is the oracle for the result
-// and for the number of messages that reach a live node.
+// into retired nodes) on every engine configuration. The reference,
+// which never shares a buffer between rounds, is the oracle for the
+// result and for the number of messages that reach a live node.
 func TestSendTimeDelivery(t *testing.T) {
 	corpus := append(gen.EquivalenceCorpus(),
 		gen.NamedGraph{Name: "Star/K1,5", G: graph.MustFromUndirected(6, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}})})
 	for _, ng := range corpus {
 		t.Run(ng.Name, func(t *testing.T) {
-			ref, refRecv := runSparse(t, "concurrent", sim.RunConcurrent, ng.G)
+			ref, refRecv := runSparse(t, "reference", sim.RunReference, ng.G)
 			if ref.Messages == 0 || refRecv == 0 {
 				t.Fatalf("reference run sent %d and delivered %d messages; the test needs traffic", ref.Messages, refRecv)
 			}
 			for _, e := range deliveryEngines(ng.G.N()) {
 				res, recv := runSparse(t, e.name, e.run, ng.G)
 				if !reflect.DeepEqual(res, ref) {
-					t.Errorf("%s: result %+v, channel engine %+v", e.name, res, ref)
+					t.Errorf("%s: result %+v, reference %+v", e.name, res, ref)
 				}
 				if recv != refRecv {
-					t.Errorf("%s: nodes received %d messages, channel engine %d", e.name, recv, refRecv)
+					t.Errorf("%s: nodes received %d messages, reference %d", e.name, recv, refRecv)
 				}
 			}
 		})
@@ -169,74 +165,59 @@ func TestSendTimeDelivery(t *testing.T) {
 
 // noisyAlg sends a message on every port of every node in every round
 // and never terminates: a run of it stops only from outside, leaving
-// messages in flight. mode picks how: "malformed" returns a wrong-length
-// Send from degree-3 nodes at round noisyStop, "cancel" cancels the
-// run's context from Send at round noisyStop, and anything else relies
-// on WithMaxRounds(noisyStop).
-type noisyAlg struct {
-	mode   string
-	cancel context.CancelFunc
-}
+// messages in flight. cancel, when set, cancels the run's context from
+// SendInto at round noisyStop; otherwise the run relies on
+// WithMaxRounds(noisyStop).
+type noisyAlg struct{ cancel context.CancelFunc }
 
 const noisyStop = 3
 
 func (noisyAlg) Name() string { return "noisy" }
-func (a noisyAlg) NewNode(degree int) sim.Node {
-	return &noisyNode{deg: degree, alg: a}
+func (a noisyAlg) BuildNodes(g *graph.Graph, lo, hi int, _ *sim.StateArena, nodes []sim.Node) {
+	sim.BuildEach(g, lo, nodes, func(int) sim.Node { return noisyNode{alg: a} })
 }
 
-type noisyNode struct {
-	deg int
-	alg noisyAlg
-}
+type noisyNode struct{ alg noisyAlg }
 
-func (n *noisyNode) Send(round int) []sim.Message {
-	if round == noisyStop {
-		switch n.alg.mode {
-		case "malformed":
-			if n.deg == 3 {
-				return make([]sim.Message, n.deg+1)
-			}
-		case "cancel":
-			n.alg.cancel()
-		}
+func (n noisyNode) SendInto(round int, buf []sim.Message) {
+	if round == noisyStop && n.alg.cancel != nil {
+		n.alg.cancel()
 	}
-	msgs := make([]sim.Message, n.deg)
-	for i := range msgs {
-		msgs[i] = 1
+	for i := range buf {
+		buf[i] = 1
 	}
-	return msgs
 }
-func (n *noisyNode) Receive(round int, inbox []sim.Message) {}
-func (n *noisyNode) Done() bool                             { return false }
-func (n *noisyNode) Output() []int                          { return nil }
+func (noisyNode) Receive(round int, inbox []sim.Message) {}
+func (noisyNode) Done() bool                             { return false }
+func (noisyNode) AppendOutput(dst []int) []int           { return dst }
 
 // TestPooledStateAfterAbortedRun stops a run mid-schedule with messages
-// in flight — a malformed Send, the round limit, a cancellation — and
-// then reuses the pooled run state for the sparse algorithm on a
-// smaller graph: the reused buffers must hand every SendInto an all-nil
-// window and every node exactly this round's messages, and the result
-// must equal the reference.
+// in flight — by the round limit or a cancellation — and then reuses
+// the pooled run state for the sparse algorithm on a smaller graph: the
+// reused buffers must hand every SendInto an all-zero window and every
+// node exactly this round's messages, and the result must equal the
+// reference.
 func TestPooledStateAfterAbortedRun(t *testing.T) {
-	// A 64-cycle with a pendant on its last node: only node 63 has
-	// degree 3, so a malformed round fails after every lower node (on
-	// every shard but the last, all of them) has written its messages.
+	// A 64-cycle with a pendant on its last node, larger than the graph
+	// the reused state serves next.
 	edges := [][2]int{{63, 64}}
 	for v := 0; v < 64; v++ {
 		edges = append(edges, [2]int{v, (v + 1) % 64})
 	}
 	big := graph.MustFromUndirected(65, edges)
 	small := gen.RandomBoundedDegree(rand.New(rand.NewSource(5)), 24, 4, 0.4)
-	ref, refRecv := runSparse(t, "concurrent", sim.RunConcurrent, small)
-	for _, mode := range []string{"malformed", "round-limit", "cancel"} {
+	ref, refRecv := runSparse(t, "reference", sim.RunReference, small)
+	for _, mode := range []string{"round-limit", "cancel"} {
 		for _, e := range deliveryEngines(big.N()) {
 			label := mode + "/" + e.name
 			ctx, cancel := context.WithCancel(context.Background())
 			opts := []sim.Option{sim.WithContext(ctx)}
+			alg := noisyAlg{cancel: cancel}
 			if mode == "round-limit" {
 				opts = append(opts, sim.WithMaxRounds(noisyStop))
+				alg = noisyAlg{}
 			}
-			_, err := e.run(big, noisyAlg{mode: mode, cancel: cancel}, opts...)
+			_, err := e.run(big, alg, opts...)
 			cancel()
 			if err == nil || (mode == "round-limit") != errors.Is(err, sim.ErrRoundLimit) ||
 				(mode == "cancel") != errors.Is(err, sim.ErrCanceled) {

@@ -1,9 +1,9 @@
 // Cross-engine equivalence suite: the paper's algorithms executed on a
 // corpus of port-numbered graph families must produce identical Results
-// from every engine — the sequential reference, the goroutine-per-node
-// channel engine, and the sharded flat-buffer engine — including error
-// cases. This is the contract that lets the fast engine stand in for the
-// reference on large graphs.
+// from the sequential engine, the sharded engine, and the dense
+// test-only reference loop (sim.RunReference) — including error cases.
+// This is the contract that lets the fast engine stand in for the model
+// on large graphs.
 //
 // The file lives in package sim_test because it drives the real
 // algorithms from internal/core, which itself imports sim.
@@ -12,6 +12,7 @@ package sim_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -29,10 +30,12 @@ type engine struct {
 	run  func(*graph.Graph, sim.Algorithm, ...sim.Option) (*sim.Result, error)
 }
 
+// engines lists the reference oracle first, then the engines held to
+// it.
 func engines() []engine {
 	return []engine{
+		{"reference", sim.RunReference},
 		{"sequential", sim.RunSequential},
-		{"concurrent", sim.RunConcurrent},
 		{"sharded", sim.RunSharded},
 	}
 }
@@ -55,32 +58,32 @@ func algorithmsFor(g *graph.Graph) []sim.Algorithm {
 }
 
 // TestCrossEngineEquivalence runs every algorithm on every corpus graph
-// with all three engines and demands identical Outputs, Rounds, Messages
-// — or identical errors.
+// with both engines and demands the reference's Outputs, Rounds and
+// Messages — or its error.
 func TestCrossEngineEquivalence(t *testing.T) {
 	for _, ng := range gen.EquivalenceCorpus() {
 		for _, alg := range algorithmsFor(ng.G) {
 			t.Run(ng.Name+"/"+alg.Name(), func(t *testing.T) {
-				ref, refErr := sim.RunSequential(ng.G, alg)
+				ref, refErr := sim.RunReference(ng.G, alg)
 				for _, e := range engines()[1:] {
 					res, err := e.run(ng.G, alg)
 					if (err == nil) != (refErr == nil) {
-						t.Fatalf("%s: err = %v, sequential err = %v", e.name, err, refErr)
+						t.Fatalf("%s: err = %v, reference err = %v", e.name, err, refErr)
 					}
 					if err != nil {
 						if err.Error() != refErr.Error() {
-							t.Fatalf("%s: err %q, sequential err %q", e.name, err, refErr)
+							t.Fatalf("%s: err %q, reference err %q", e.name, err, refErr)
 						}
 						continue
 					}
 					if !reflect.DeepEqual(res.Outputs, ref.Outputs) {
-						t.Errorf("%s: Outputs diverge from sequential", e.name)
+						t.Errorf("%s: Outputs diverge from the reference", e.name)
 					}
 					if res.Rounds != ref.Rounds {
-						t.Errorf("%s: Rounds = %d, sequential %d", e.name, res.Rounds, ref.Rounds)
+						t.Errorf("%s: Rounds = %d, reference %d", e.name, res.Rounds, ref.Rounds)
 					}
 					if res.Messages != ref.Messages {
-						t.Errorf("%s: Messages = %d, sequential %d", e.name, res.Messages, ref.Messages)
+						t.Errorf("%s: Messages = %d, reference %d", e.name, res.Messages, ref.Messages)
 					}
 				}
 			})
@@ -114,10 +117,10 @@ func TestShardCountInvariance(t *testing.T) {
 }
 
 // TestTraceCrossEngineEquivalence runs every corpus workload with a
-// trace attached on both hook-capable engines and demands the identical
+// trace attached on both engines and demands the identical
 // round-by-round profile. This is the contract that lets -profile and
 // the figures pipeline use the sharded engine on graphs too large for
-// the sequential reference.
+// the sequential engine.
 func TestTraceCrossEngineEquivalence(t *testing.T) {
 	for _, ng := range gen.EquivalenceCorpus() {
 		for _, alg := range algorithmsFor(ng.G) {
@@ -157,18 +160,18 @@ func TestAutoHonoursHookAboveThreshold(t *testing.T) {
 	if tr.TotalMessages() != res.Messages {
 		t.Fatalf("trace counted %d messages, result says %d", tr.TotalMessages(), res.Messages)
 	}
-	// Cross-check against the sequential reference on the same graph.
+	// Cross-check against the sequential engine on the same graph.
 	refTrace, refOpt := sim.NewTrace(core.KindName)
 	if _, err := sim.RunSequential(g, core.PortOne{}, refOpt); err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
 	if !reflect.DeepEqual(refTrace.Rounds, tr.Rounds) {
-		t.Errorf("auto trace diverges from sequential reference")
+		t.Errorf("auto trace diverges from sequential engine")
 	}
 }
 
 // cancelSendAlg never terminates on its own but cancels the attached
-// context from Send at a fixed round — a deterministic mid-run
+// context from SendInto at a fixed round — a deterministic mid-run
 // cancellation point that exists identically in every engine.
 type cancelSendAlg struct {
 	cancel  context.CancelFunc
@@ -176,24 +179,20 @@ type cancelSendAlg struct {
 }
 
 func (a cancelSendAlg) Name() string { return "cancel-send" }
-func (a cancelSendAlg) NewNode(degree int) sim.Node {
-	return &cancelSendNode{deg: degree, alg: a}
+func (a cancelSendAlg) BuildNodes(g *graph.Graph, lo, hi int, _ *sim.StateArena, nodes []sim.Node) {
+	sim.BuildEach(g, lo, nodes, func(int) sim.Node { return cancelSendNode{alg: a} })
 }
 
-type cancelSendNode struct {
-	deg int
-	alg cancelSendAlg
-}
+type cancelSendNode struct{ alg cancelSendAlg }
 
-func (n *cancelSendNode) Send(round int) []sim.Message {
+func (n cancelSendNode) SendInto(round int, buf []sim.Message) {
 	if round >= n.alg.atRound {
 		n.alg.cancel()
 	}
-	return make([]sim.Message, n.deg)
 }
-func (n *cancelSendNode) Receive(round int, inbox []sim.Message) {}
-func (n *cancelSendNode) Done() bool                             { return false }
-func (n *cancelSendNode) Output() []int                          { return nil }
+func (cancelSendNode) Receive(round int, inbox []sim.Message) {}
+func (cancelSendNode) Done() bool                             { return false }
+func (cancelSendNode) AppendOutput(dst []int) []int           { return dst }
 
 // awaitBaselineGoroutines waits for the goroutine count to return to the
 // pre-run baseline, failing the test if it does not: a canceled engine
@@ -213,11 +212,11 @@ func awaitBaselineGoroutines(t *testing.T, label string, base int) {
 	}
 }
 
-// TestCancellationParity checks the WithContext contract on all three
-// engines: cancel-before-start, cancel-mid-run, and deadline-exceeded
-// must surface the identical error (wrapping ErrCanceled plus the
-// context cause) from every engine, return no Result, and leak no
-// goroutines. Run under -race this also proves the cancellation path is
+// TestCancellationParity checks the WithContext contract on both
+// engines and the reference: cancel-before-start, cancel-mid-run, and
+// deadline-exceeded must surface the identical error (wrapping
+// ErrCanceled plus the context cause) from every engine, return no
+// Result, and leak no goroutines. Run under -race this also proves the cancellation path is
 // race-free.
 func TestCancellationParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -304,59 +303,62 @@ func TestCancellationParity(t *testing.T) {
 // stuckAlg never terminates; every engine must surface ErrRoundLimit.
 type stuckAlg struct{}
 
-func (stuckAlg) Name() string                { return "stuck" }
-func (stuckAlg) NewNode(degree int) sim.Node { return &stuckNode{deg: degree} }
-
-type stuckNode struct{ deg int }
-
-func (n *stuckNode) Send(round int) []sim.Message           { return make([]sim.Message, n.deg) }
-func (n *stuckNode) Receive(round int, inbox []sim.Message) {}
-func (n *stuckNode) Done() bool                             { return false }
-func (n *stuckNode) Output() []int                          { return nil }
-
-// badSendAlg returns a wrong-length slice from every node of degree 2.
-// On Path(3) exactly one node (the middle, index 1) has degree 2, so the
-// engines must all report the same node in the same error string. The
-// other nodes panic if Receive ever runs in the poisoned round: every
-// engine must abort after the send barrier, before any node can observe
-// the substitute messages.
-type badSendAlg struct{}
-
-func (badSendAlg) Name() string { return "bad-send" }
-func (badSendAlg) NewNode(degree int) sim.Node {
-	return &badSendNode{deg: degree}
+func (stuckAlg) Name() string { return "stuck" }
+func (stuckAlg) BuildNodes(g *graph.Graph, lo, hi int, _ *sim.StateArena, nodes []sim.Node) {
+	sim.BuildEach(g, lo, nodes, func(int) sim.Node { return stuckNode{} })
 }
 
-type badSendNode struct {
-	deg  int
-	done bool
+type stuckNode struct{}
+
+func (stuckNode) SendInto(round int, buf []sim.Message)  {}
+func (stuckNode) Receive(round int, inbox []sim.Message) {}
+func (stuckNode) Done() bool                             { return false }
+func (stuckNode) AppendOutput(dst []int) []int           { return dst }
+
+// faultyAlg fails on the nodes in bad, and only there, in one of two
+// ways: with nilNodes BuildNodes leaves them nil, otherwise they stop at
+// once and output port 99. Every other node stops at once with no
+// output.
+type faultyAlg struct {
+	bad      map[int]bool
+	nilNodes bool
 }
 
-func (n *badSendNode) Send(round int) []sim.Message {
-	if n.deg == 2 {
-		return make([]sim.Message, n.deg+3)
+func (a faultyAlg) Name() string {
+	if a.nilNodes {
+		return "nil-node"
 	}
-	msgs := make([]sim.Message, n.deg)
-	for i := range msgs {
-		msgs[i] = 1
-	}
-	return msgs
+	return "bad-output"
 }
 
-func (n *badSendNode) Receive(round int, inbox []sim.Message) {
-	for _, m := range inbox {
-		if m == 0 {
-			panic("sim_test: Receive observed a substitute message from a poisoned round")
+func (a faultyAlg) BuildNodes(g *graph.Graph, lo, hi int, _ *sim.StateArena, nodes []sim.Node) {
+	for v := lo; v < hi; v++ {
+		if !a.bad[v] {
+			nodes[v-lo] = faultyNode{}
+		} else if !a.nilNodes {
+			nodes[v-lo] = faultyNode{port: 99}
 		}
 	}
-	n.done = true
 }
-func (n *badSendNode) Done() bool    { return n.done }
-func (n *badSendNode) Output() []int { return nil }
 
-// TestEngineErrorParity checks that the failure modes surface identically
-// from every engine: the round budget as ErrRoundLimit, and a malformed
-// Send as an error naming the offending node — never a panic.
+// faultyNode is born done and outputs port, if nonzero.
+type faultyNode struct{ port int }
+
+func (faultyNode) SendInto(round int, buf []sim.Message)  {}
+func (faultyNode) Receive(round int, inbox []sim.Message) {}
+func (faultyNode) Done() bool                             { return true }
+func (n faultyNode) AppendOutput(dst []int) []int {
+	if n.port != 0 {
+		dst = append(dst, n.port)
+	}
+	return dst
+}
+
+// TestEngineErrorParity checks that the failure modes surface
+// identically from every engine and shard count: the round budget as
+// ErrRoundLimit, and a node that BuildNodes left nil or that outputs an
+// invalid port as one error naming the lowest offending node — never a
+// panic.
 func TestEngineErrorParity(t *testing.T) {
 	t.Run("RoundLimit", func(t *testing.T) {
 		g := gen.Cycle(6)
@@ -374,20 +376,38 @@ func TestEngineErrorParity(t *testing.T) {
 			}
 		}
 	})
-	t.Run("MalformedSend", func(t *testing.T) {
-		g := gen.Path(3)
-		var msgs []string
-		for _, e := range engines() {
-			_, err := e.run(g, badSendAlg{})
-			if err == nil {
-				t.Fatalf("%s: malformed Send accepted", e.name)
+	// Each case has two bad nodes, one in each half of the cycle: at
+	// P = 2 and P = n they land in different shards, and the lower one
+	// must win.
+	g := gen.Cycle(64)
+	runs := []engine{{"reference", sim.RunReference}, {"sequential", sim.RunSequential}}
+	for _, p := range []int{1, 2, g.N()} {
+		p := p
+		runs = append(runs, engine{fmt.Sprintf("sharded/P=%d", p),
+			func(g *graph.Graph, a sim.Algorithm, opts ...sim.Option) (*sim.Result, error) {
+				return sim.RunSharded(g, a, append(opts, sim.WithShards(p))...)
+			}})
+	}
+	for _, tc := range []struct {
+		name string
+		alg  faultyAlg
+		want string
+	}{
+		{"NilNode", faultyAlg{bad: map[int]bool{17: true, 41: true}, nilNodes: true},
+			`sim: algorithm "nil-node": BuildNodes left node 17 nil`},
+		{"InvalidOutputPort", faultyAlg{bad: map[int]bool{23: true, 57: true}},
+			`sim: algorithm "bad-output": node 23 output invalid port 99`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, e := range runs {
+				res, err := e.run(g, tc.alg)
+				if err == nil || err.Error() != tc.want {
+					t.Errorf("%s: err = %v, want %q", e.name, err, tc.want)
+				}
+				if res != nil {
+					t.Errorf("%s: got a Result alongside the error", e.name)
+				}
 			}
-			msgs = append(msgs, err.Error())
-		}
-		for _, m := range msgs[1:] {
-			if m != msgs[0] {
-				t.Errorf("malformed-send errors differ: %q vs %q", msgs[0], m)
-			}
-		}
-	})
+		})
+	}
 }

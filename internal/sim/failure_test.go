@@ -4,58 +4,23 @@ import (
 	"testing"
 
 	"eds/internal/gen"
+	"eds/internal/graph"
 )
-
-// wrongLenAlg violates the model by sending the wrong number of
-// messages.
-type wrongLenAlg struct{}
-
-func (wrongLenAlg) Name() string            { return "wrong-len" }
-func (wrongLenAlg) NewNode(degree int) Node { return &wrongLenNode{deg: degree} }
-
-type wrongLenNode struct {
-	deg  int
-	done bool
-}
-
-func (n *wrongLenNode) Send(round int) []Message           { return make([]Message, n.deg+1) }
-func (n *wrongLenNode) Receive(round int, inbox []Message) { n.done = true }
-func (n *wrongLenNode) Done() bool                         { return n.done }
-func (n *wrongLenNode) Output() []int                      { return nil }
 
 // dupPortAlg outputs the same port twice.
 type dupPortAlg struct{}
 
-func (dupPortAlg) Name() string            { return "dup-port" }
-func (dupPortAlg) NewNode(degree int) Node { return &dupPortNode{deg: degree} }
-
-type dupPortNode struct{ deg int }
-
-func (n *dupPortNode) Send(round int) []Message           { return make([]Message, n.deg) }
-func (n *dupPortNode) Receive(round int, inbox []Message) {}
-func (n *dupPortNode) Done() bool                         { return true }
-func (n *dupPortNode) Output() []int                      { return []int{1, 1} }
-
-func TestMalformedSendSequential(t *testing.T) {
-	g := gen.Cycle(4)
-	if _, err := RunSequential(g, wrongLenAlg{}); err == nil {
-		t.Error("wrong-length Send accepted by the sequential engine")
-	}
+func (dupPortAlg) Name() string { return "dup-port" }
+func (dupPortAlg) BuildNodes(g *graph.Graph, lo, hi int, _ *StateArena, nodes []Node) {
+	BuildEach(g, lo, nodes, func(int) Node { return dupPortNode{} })
 }
 
-func TestMalformedSendConcurrentPanics(t *testing.T) {
-	// The concurrent engine treats a malformed Send as a programmer
-	// error: the offending worker panics (anything else would deadlock
-	// its peers mid-round). The panic escapes on the worker goroutine,
-	// so exercise the panic path directly on the worker's logic instead
-	// of crashing the test binary: we just verify the sequential engine
-	// rejects the same algorithm, which the cross-engine property tests
-	// tie together.
-	g := gen.Cycle(4)
-	if _, err := RunSequential(g, wrongLenAlg{}); err == nil {
-		t.Error("malformed algorithm accepted")
-	}
-}
+type dupPortNode struct{}
+
+func (dupPortNode) SendInto(round int, buf []Message)  {}
+func (dupPortNode) Receive(round int, inbox []Message) {}
+func (dupPortNode) Done() bool                         { return true }
+func (dupPortNode) AppendOutput(dst []int) []int       { return append(dst, 1, 1) }
 
 func TestDuplicateOutputPortRejected(t *testing.T) {
 	g := gen.Cycle(4)

@@ -1,11 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"sync"
-
-	"eds/internal/graph"
-)
+import "sync"
 
 // runState is the engine-owned per-execution state: the node slice, the
 // per-node retirement flags, the flat outbox and inbox of the round
@@ -22,14 +17,12 @@ import (
 // by the outboxalias analyzer): a state is acquired at run entry and
 // released exactly once on every exit path, after all worker goroutines
 // have stopped — the release is deferred before the workers start, so
-// on cancellation, round-limit, or malformed-send exits the deferred
-// worker shutdown runs first and no goroutine can touch a recycled
-// buffer. release clears the node slots, so the pool never pins node
+// on every error exit the deferred worker shutdown runs first and no
+// goroutine can touch a recycled buffer. release clears the node slots, so the pool never pins node
 // state across runs, and zeroes the message buffers for the next run.
 // Messages are plain words, so the collector never scans those buffers.
 type runState struct {
 	nodes    []Node
-	buffered []BufferedNode // buffered[v] != nil iff nodes[v] has the SendInto fast path
 	done     []bool
 	outbox   []Message // flat send buffer, indexed by global port
 	inbox    []Message // flat receive buffer: inbox[route[j]] is written when outbox[j] is sent
@@ -45,11 +38,11 @@ type runState struct {
 	// those outbox[j] and inbox[route[j]] back to 0.
 	delivered []int32
 
-	// arenas[s] is shard s's StateArena (index 0 for the concurrent
-	// engine). The chunks persist across pooled runs — acquireState only
-	// rewinds the cursors — so bulk-built node state stops allocating
-	// once a workload's shape has been seen. Held as a slice of values,
-	// one per worker, so parallel construction needs no locks.
+	// arenas[s] is shard s's StateArena. The chunks persist across
+	// pooled runs — acquireState only rewinds the cursors — so node
+	// state stops allocating once a workload's shape has been seen.
+	// Held as a slice of values, one per worker, so parallel
+	// construction needs no locks.
 	arenas []StateArena
 
 	// Worker phase coordination for runs over p > 1 shards, reused
@@ -67,7 +60,7 @@ type runState struct {
 type shardStat struct {
 	sent    int   // nonzero messages this round, the delivery list's length
 	pending int   // nodes not yet retired
-	err     error // first malformed Send or invalid output (lowest node in shard)
+	err     error // first nil node or invalid output (lowest node in shard)
 }
 
 var statePool = sync.Pool{New: func() any { return new(runState) }}
@@ -95,41 +88,33 @@ func grow[T any](buf []T, n int) []T {
 }
 
 // acquireState returns a runState ready for a run over n nodes and
-// ports global ports, with room for p shards (pass p = 0 for the
-// concurrent engine, which has neither shards nor flat buffers). done
-// and stats come back zeroed, so every delivery list starts empty; the
-// message buffers are all-zero because release cleared them.
+// ports global ports, with room for p >= 1 shards. done and stats come
+// back zeroed, so every delivery list starts empty; the message buffers
+// are all-zero because release cleared them.
 func acquireState(n, ports, p int) *runState {
 	s := statePool.Get().(*runState)
 	s.nodes = grow(s.nodes, n)
-	s.buffered = grow(s.buffered, n)
 	s.done = grow(s.done, n)
 	clear(s.done)
 	s.outbox = grow(s.outbox, ports)
 	s.inbox = grow(s.inbox, ports)
 	s.delivered = grow(s.delivered, ports)
-	// One arena per worker (at least one). Unlike grow, the resize must
-	// preserve the surviving elements: each arena carries chunks whose
-	// whole point is reuse across runs.
-	na := p
-	if na < 1 {
-		na = 1
-	}
-	if cap(s.arenas) >= na {
-		s.arenas = s.arenas[:na]
+	// One arena per worker. Unlike grow, the resize must preserve the
+	// surviving elements: each arena carries chunks whose whole point is
+	// reuse across runs.
+	if cap(s.arenas) >= p {
+		s.arenas = s.arenas[:p]
 	} else {
 		old := s.arenas
-		s.arenas = make([]StateArena, na, roundCap(na))
+		s.arenas = make([]StateArena, p, roundCap(p))
 		copy(s.arenas, old)
 	}
 	for i := range s.arenas {
 		s.arenas[i].reset()
 	}
-	if p > 0 {
-		s.stats = grow(s.stats, p)
-		clear(s.stats)
-		s.bounds = grow(s.bounds, p+1)
-	}
+	s.stats = grow(s.stats, p)
+	clear(s.stats)
+	s.bounds = grow(s.bounds, p+1)
 	if p > 1 {
 		s.work = grow(s.work, p)
 		for i := range s.work {
@@ -144,31 +129,6 @@ func acquireState(n, ports, p int) *runState {
 	return s
 }
 
-// buildNodes constructs the nodes of the half-open range [lo, hi),
-// filling s.nodes and the s.buffered fast-path cache. Bulk-capable
-// algorithms build the whole range at once from the given arena; legacy
-// algorithms go through NewNode one node at a time. Safe for concurrent
-// calls on disjoint ranges with distinct arenas — that is exactly how
-// the sharded engine parallelizes its prologue.
-func (s *runState) buildNodes(g *graph.Graph, a Algorithm, bulk BulkAlgorithm, lo, hi int, arena *StateArena) error {
-	if bulk != nil {
-		nodes := s.nodes[lo:hi:hi]
-		bulk.BuildNodes(g, lo, hi, arena, nodes)
-		for v := lo; v < hi; v++ {
-			if s.nodes[v] == nil {
-				return fmt.Errorf("sim: algorithm %q: BuildNodes left node %d nil", a.Name(), v)
-			}
-			s.buffered[v], _ = s.nodes[v].(BufferedNode)
-		}
-		return nil
-	}
-	for v := lo; v < hi; v++ {
-		s.nodes[v] = a.NewNode(g.Deg(v))
-		s.buffered[v], _ = s.nodes[v].(BufferedNode)
-	}
-	return nil
-}
-
 // release clears the node references the state holds, zeroes the
 // message buffers, and returns the state to the pool. The engines call
 // it via defer after all workers have stopped; a released state must
@@ -180,7 +140,6 @@ func (s *runState) buildNodes(g *graph.Graph, a Algorithm, bulk BulkAlgorithm, l
 // is what makes repeat construction allocation-free.
 func (s *runState) release() {
 	clear(s.nodes)
-	clear(s.buffered)
 	clear(s.outbox)
 	clear(s.inbox)
 	clear(s.stats)
@@ -190,10 +149,10 @@ func (s *runState) release() {
 }
 
 // hookRows builds the hook's per-node view of the flat outbox: one
-// capped subslice per node, so a round hook observes exactly the matrix
-// the per-node engines would show. Only hooked runs pay this (one slice
-// of n headers per run); hooks exist for traces and figures, not for
-// the steady-state serving path.
+// capped subslice per node, the sent[v][i-1] matrix WithRoundHook
+// documents. Only hooked runs pay this (one slice of n headers per
+// run); hooks exist for traces and figures, not for the steady-state
+// serving path.
 func (s *runState) hookRows(off []int32, n int) [][]Message {
 	rows := grow(s.hookView[:0], n)
 	for v := 0; v < n; v++ {
@@ -201,24 +160,4 @@ func (s *runState) hookRows(off []int32, n int) [][]Message {
 	}
 	s.hookView = rows
 	return rows
-}
-
-// fillSlot produces node v's outgoing messages for this round directly
-// in its outbox window, which arrives all-zero (the send phase has taken
-// back the previous round's messages). Nodes implementing BufferedNode
-// write into the engine-owned slot with no allocation and no copy;
-// legacy nodes go through Send and are length-checked, so the
-// malformed-send error stays byte-identical across engines and both
-// node flavours.
-func (s *runState) fillSlot(a Algorithm, v, round int, slot []Message) error {
-	if b := s.buffered[v]; b != nil {
-		b.SendInto(round, slot)
-		return nil
-	}
-	out := s.nodes[v].Send(round)
-	if len(out) != len(slot) {
-		return malformedSend(a, v, len(out), len(slot))
-	}
-	copy(slot, out)
-	return nil
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 
 	"eds/internal/graph"
@@ -8,7 +9,7 @@ import (
 
 // AutoShardedPorts is the port count (sum of degrees ≈ nodes×degree)
 // at which engine auto-selection (eds.RunAuto, edsrun -engine auto, the
-// harness scaling studies) switches from the sequential reference to
+// harness scaling studies) switches from the sequential engine to
 // the sharded engine. Ports, not nodes, measure the work the sharded
 // engine parallelizes — node construction, the send phase and output
 // collection are linear in ports, delivery in messages — while its
@@ -39,13 +40,12 @@ func EngineChoice(n, ports, procs int) string {
 }
 
 // RunAuto picks an engine by setup volume via EngineChoice — the
-// sequential reference for small graphs or single-CPU processes, the
+// sequential engine for small graphs or single-CPU processes, the
 // sharded engine for large graphs on multi-core — and is the single
 // home of that policy for the facade, the CLI, the server, and the
-// harness studies. Every engine returns identical Results, so the
-// choice affects only wall-clock time; both engines honour
-// WithRoundHook and WithContext, so hooked or cancellable runs take the
-// same path as any other.
+// harness studies. Both engines return identical Results and honour
+// WithRoundHook and WithContext, so the choice affects only wall-clock
+// time.
 func RunAuto(g *graph.Graph, a Algorithm, opts ...Option) (*Result, error) {
 	if EngineChoice(g.N(), g.NumPorts(), runtime.GOMAXPROCS(0)) == "sharded" {
 		return RunSharded(g, a, opts...)
@@ -58,7 +58,6 @@ func RunAuto(g *graph.Graph, a Algorithm, opts ...Option) (*Result, error) {
 func Engines() map[string]func(*graph.Graph, Algorithm, ...Option) (*Result, error) {
 	return map[string]func(*graph.Graph, Algorithm, ...Option) (*Result, error){
 		"sequential": RunSequential,
-		"concurrent": RunConcurrent,
 		"sharded":    RunSharded,
 	}
 }
@@ -93,7 +92,6 @@ type shardedRun struct {
 	st      *runState
 	g       *graph.Graph
 	a       Algorithm
-	bulk    BulkAlgorithm // non-nil: build nodes per shard inside phaseInit
 	off     []int32
 	route   []int32
 	p       int
@@ -160,18 +158,16 @@ func (r *shardedRun) shardErr() error {
 	return nil
 }
 
-// initPhase builds the shard's nodes when the algorithm is
-// bulk-capable — this is the parallel prologue: every shard carves its
-// state from its own arena concurrently, so setup scales with P — and
-// retires nodes that are born done (zero-round algorithms). Legacy
-// algorithms were already built serially by the coordinator (NewNode
-// order is observable to them, e.g. via shared counters), so for those
-// the phase only retires.
+// initPhase is the parallel prologue: it builds the shard's nodes —
+// every shard carves its state from its own arena concurrently, so
+// setup scales with P — checks that BuildNodes set each one, and
+// retires nodes that are born done (zero-round algorithms).
 func (r *shardedRun) initPhase(s, lo, hi int) {
 	st := r.st
-	if r.bulk != nil {
-		if err := st.buildNodes(r.g, r.a, r.bulk, lo, hi, &st.arenas[s]); err != nil {
-			st.stats[s].err = err
+	r.a.BuildNodes(r.g, lo, hi, &st.arenas[s], st.nodes[lo:hi:hi])
+	for v := lo; v < hi; v++ {
+		if st.nodes[v] == nil {
+			st.stats[s].err = fmt.Errorf("sim: algorithm %q: BuildNodes left node %d nil", r.a.Name(), v)
 			return
 		}
 	}
@@ -202,8 +198,7 @@ func (r *shardedRun) outputPhase(s, lo, hi int) {
 // writes the shard's outbox windows and delivers each nonzero message
 // at once (inbox[route[j]] = outbox[j]), listing j for the next round.
 // The inbox slots may be other shards': that is race-free because no
-// shard reads the inbox in this phase and each slot has one sender. A
-// malformed Send stops the shard at its first bad node.
+// shard reads the inbox in this phase and each slot has one sender.
 func (r *shardedRun) sendPhase(s, lo, hi int) {
 	st := r.st
 	list := st.delivered[r.off[lo]:r.off[hi]]
@@ -218,10 +213,7 @@ func (r *shardedRun) sendPhase(s, lo, hi int) {
 		}
 		first, end := r.off[v], r.off[v+1]
 		slot := st.outbox[first:end:end]
-		if err := st.fillSlot(r.a, v, r.round, slot); err != nil {
-			st.stats[s].err = err
-			return
-		}
+		st.nodes[v].SendInto(r.round, slot)
 		for i, m := range slot {
 			if m != 0 {
 				j := first + int32(i)
@@ -267,14 +259,14 @@ func (r *shardedRun) recvPhase(s, lo, hi int) {
 //
 // A silent port is never touched, so a round costs O(messages), not
 // O(ports), outside the nodes themselves. The prologue and epilogue
-// are parallel too: bulk-capable algorithms (BulkAlgorithm) have each
-// shard's nodes built by that shard's worker from a per-shard
-// StateArena, and each shard collects and validates its own outputs.
+// are parallel too: each shard's nodes are built by that shard's
+// worker (Algorithm.BuildNodes) from a per-shard StateArena, and each
+// shard collects and validates its own outputs.
 //
 // All buffers come from a pooled runState and the P workers persist
 // for the whole run, so a steady-state round performs zero allocations:
-// BufferedNode nodes write straight into the outbox (see fillSlot), and
-// the barriers are plain channel operations. With P = 1 the phases run
+// nodes write straight into the outbox (Node.SendInto), and the
+// barriers are plain channel operations. With P = 1 the phases run
 // inline, exactly as in RunSequential; results are bit-identical to
 // RunSequential for every shard count.
 //
@@ -308,20 +300,11 @@ func runShards(g *graph.Graph, a Algorithm, p int, c *config) (*Result, error) {
 	// Release only after the workers have stopped: defers run in LIFO
 	// order, so the stop barrier deferred below fences every worker off
 	// the buffers before they return to the pool — on every exit path,
-	// including cancellation and malformed-send errors.
+	// including cancellation and round-limit errors.
 	defer st.release()
 	shardBounds(st.bounds, g.PortOffsets(), n, p)
 
 	r := &shardedRun{st: st, g: g, a: a, off: g.PortOffsets(), route: g.RoutingTable(), p: p}
-	r.bulk, _ = a.(BulkAlgorithm)
-	if r.bulk == nil {
-		// Legacy prologue: NewNode in ascending node order on the
-		// coordinator, because per-node construction may observe its own
-		// ordering (idmatching's counter did before it went bulk).
-		if err := st.buildNodes(g, a, nil, 0, n, &st.arenas[0]); err != nil {
-			return nil, err
-		}
-	}
 	if p > 1 {
 		for s := 0; s < p; s++ {
 			go r.worker(s)
@@ -329,8 +312,8 @@ func runShards(g *graph.Graph, a Algorithm, p int, c *config) (*Result, error) {
 		defer r.barrier(phaseStop)
 	}
 
-	// Parallel prologue: bulk algorithms build their shard's nodes here,
-	// every shard at once; all shards then retire born-done nodes.
+	// Parallel prologue: every shard builds its nodes at once and
+	// retires the born-done ones.
 	r.barrier(phaseInit)
 	if err := r.shardErr(); err != nil {
 		return nil, err
@@ -361,9 +344,6 @@ func runShards(g *graph.Graph, a Algorithm, p int, c *config) (*Result, error) {
 
 		r.round = round
 		r.barrier(phaseSend)
-		if err := r.shardErr(); err != nil {
-			return nil, err
-		}
 		for s := 0; s < p; s++ {
 			res.Messages += st.stats[s].sent
 		}

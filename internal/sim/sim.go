@@ -4,9 +4,9 @@
 // each of its ports, and (iii) receives one message from each of its
 // ports, routed by the involution p.
 //
-// Three engines are provided, all required to produce identical Results
-// on every input (a cross-engine property suite in engines_test.go
-// enforces it):
+// There is one round loop, run two ways, and both ways must produce
+// identical Results (a cross-engine suite in engines_test.go holds them
+// to a dense test-only reference loop, RunReference):
 //
 //   - RunSharded partitions the nodes into P contiguous shards over the
 //     graph's flat routing table (graph.RoutingTable) and runs the round
@@ -18,27 +18,19 @@
 //     O(messages), not O(ports), in the routing layer. It is the
 //     fastest engine on large graphs and the scaling path for
 //     million-node runs; see sharded.go.
-//   - RunSequential is the deterministic single-threaded reference and
-//     the engine of choice for debugging: the same round loop on one
-//     shard, its phases run inline with no goroutine and no channel.
-//   - RunConcurrent runs one goroutine per node and routes messages over
-//     capacity-1 channels — the natural Go embedding of the model, useful
-//     as a semantic stress test of the round structure. Its per-node
-//     goroutines and channels make it the slowest engine on large graphs.
+//   - RunSequential is the deterministic single-threaded engine and the
+//     one of choice for debugging: the same round loop on one shard,
+//     its phases run inline with no goroutine and no channel.
 //
-// WithRoundHook (traces, figures) is honoured by the sequential and
-// sharded engines; the concurrent engine has no barrier window in which
-// a consistent whole-round outbox exists, so it rejects hooked runs
-// eagerly with ErrHookUnsupported instead of silently dropping the
-// hook. WithContext makes any engine cancellable: the context is polled
-// at every round barrier and a canceled or expired run returns an error
-// wrapping ErrCanceled plus the context's cause, with no goroutine left
-// behind.
+// Both engines honour WithRoundHook (traces, figures) and WithContext:
+// the context is polled at every round barrier and a canceled or
+// expired run returns an error wrapping ErrCanceled plus the context's
+// cause, with no goroutine left behind.
 //
 // A node is retired as soon as Done reports true after a Receive: no
-// engine calls Send or Receive on a retired node, so mixed-termination
-// schedules (e.g. degree-dependent scripts on irregular graphs) execute
-// identically everywhere.
+// engine calls SendInto or Receive on a retired node, so
+// mixed-termination schedules (e.g. degree-dependent scripts on
+// irregular graphs) execute identically everywhere.
 package sim
 
 import (
@@ -46,7 +38,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"eds/internal/graph"
@@ -62,78 +53,41 @@ import (
 // buffer holds a pointer, and writing a message never allocates.
 type Message uint64
 
-// Node is the state machine one node runs. The engine calls Send, then
-// delivers the round's incoming messages via Receive; after Receive it
-// polls Done. Once Done reports true the node is never called again and
-// Output must return the node's chosen ports (the set X(v) of the paper,
-// 1-based port numbers).
+// Node is the state machine one node runs. Every round the engine
+// calls SendInto, then delivers the round's incoming messages via
+// Receive, then polls Done. Once Done reports true the node is never
+// called again except for one AppendOutput.
 type Node interface {
-	// Send returns the outgoing message for each port; index 0 is port 1.
-	// The returned slice must have exactly one entry per port.
-	Send(round int) []Message
+	// SendInto writes the round's outgoing message for each port into
+	// buf (index 0 is port 1). buf has exactly one entry per port and
+	// every entry is 0 on entry; write the nonzero messages and leave
+	// silent ports untouched. buf is a window into the engine's pooled
+	// outbox, rewritten every round and recycled across runs: retaining
+	// it, a reslice of it, or any alias past the call corrupts later
+	// rounds (the outboxalias analyzer in internal/lint flags it).
+	// Retaining the message values written into it is always fine.
+	SendInto(round int, buf []Message)
 	// Receive delivers the incoming message of each port for this round.
-	// inbox is engine-owned and read-only: engines reuse it across rounds
-	// and only rewrite the slots that carry messages.
+	// inbox is engine-owned and read-only under the same rule as buf.
 	Receive(round int, inbox []Message)
 	// Done reports whether the node has stopped.
 	Done() bool
-	// Output returns the chosen port numbers once Done is true.
-	Output() []int
+	// AppendOutput appends the node's chosen ports (the set X(v) of the
+	// paper, 1-based port numbers, in any order) to dst and returns the
+	// extended slice. The engine calls it once, after Done is true.
+	AppendOutput(dst []int) []int
 }
 
-// BufferedNode is the optional zero-allocation extension of Node. Every
-// engine type-asserts each node once at run start; a node implementing
-// SendInto has its outgoing messages written straight into the
-// engine-owned outbox window for that node — no per-round []Message
-// allocation, no boxing copy — and its Send method is never called.
-// Nodes that do not implement it keep working through Send unchanged.
-//
-// The contract of SendInto mirrors Send with the buffer inverted:
-//
-//   - buf has exactly one entry per port (index 0 is port 1) and every
-//     entry is 0 on entry; write the round's nonzero messages and
-//     leave empty ports untouched.
-//   - buf is a view of an engine buffer that is recycled at the next
-//     round barrier. Retaining buf, a reslice of it, or any alias past
-//     the call corrupts later rounds on the buffer-reusing engines —
-//     exactly the divergence class the outboxalias analyzer
-//     (internal/lint) flags mechanically. Retaining the message values
-//     written into it is always fine.
-//
-// All paper algorithms in internal/core implement BufferedNode; a
-// Message is a plain word, so writing one allocates nothing, and a
-// full round of theirs allocates nothing on the sharded engine.
-type BufferedNode interface {
-	Node
-	// SendInto writes the outgoing message for each port into buf, which
-	// arrives all-zero with exactly one entry per port.
-	SendInto(round int, buf []Message)
-}
-
-// Algorithm is a factory of node state machines. In the port-numbering
-// model a starting node knows nothing but its own degree, which is
-// therefore the only argument.
-type Algorithm interface {
-	// Name identifies the algorithm in logs and error messages.
-	Name() string
-	// NewNode returns the initial state of a node with the given degree.
-	NewNode(degree int) Node
-}
-
-// BulkAlgorithm is the optional bulk-construction extension of
-// Algorithm, the setup-phase analogue of what BufferedNode is to Send.
-// Every engine type-asserts the algorithm once at run start; a
-// bulk-capable algorithm has entire node ranges built in one call, with
-// per-node state carved from an engine-owned StateArena in O(1) slabs
-// instead of one heap allocation per node. Algorithms that do not
-// implement it keep working through NewNode unchanged.
+// Algorithm builds the node state machines of a run. In the
+// port-numbering model a starting node knows nothing but its own
+// degree, so a node's initial state may depend on g only through
+// g.Deg(v) (and, for algorithms that assume unique identifiers, on the
+// node index v itself).
 //
 // The contract of BuildNodes:
 //
 //   - nodes has exactly hi-lo entries; BuildNodes must set every one
 //     (nodes[i] becomes graph node lo+i). A nil entry fails the run.
-//   - the built nodes must behave identically to NewNode(g.Deg(v))
-//     nodes — the cross-engine equivalence suite runs both paths.
 //   - state carved from arena is engine-owned and dies with the run
 //     (the arena is rewound when the pooled run state is reacquired);
 //     never store it in the Algorithm value, a package-level variable,
@@ -141,25 +95,14 @@ type Algorithm interface {
 //     analyzer (internal/lint) flags retention mechanically.
 //   - concurrent calls on disjoint [lo, hi) ranges with distinct arenas
 //     must be safe: the sharded engine builds all shards in parallel.
-//     In particular a BulkAlgorithm must not derive node identity from
-//     construction *order* (a shared counter); use the node index.
-type BulkAlgorithm interface {
-	Algorithm
+//     In particular node identity must not come from construction
+//     *order* (a shared counter); use the node index.
+type Algorithm interface {
+	// Name identifies the algorithm in logs and error messages.
+	Name() string
 	// BuildNodes constructs the nodes of the half-open range [lo, hi),
 	// carving their state from arena; nodes[i] is node lo+i.
 	BuildNodes(g *graph.Graph, lo, hi int, arena *StateArena, nodes []Node)
-}
-
-// OutputAppender is the optional zero-allocation extension of Output.
-// The engines' output collectors gather all of a node range's chosen
-// ports into one flat buffer; a node implementing AppendOutput writes
-// its ports straight onto that buffer instead of materialising a
-// per-node slice for Output to return.
-type OutputAppender interface {
-	Node
-	// AppendOutput appends the node's chosen ports (unsorted is fine)
-	// to dst and returns the extended slice, exactly once Done is true.
-	AppendOutput(dst []int) []int
 }
 
 // Result summarises one execution.
@@ -186,16 +129,6 @@ var ErrRoundLimit = errors.New("sim: round limit exceeded")
 // for the same execution.
 var ErrCanceled = errors.New("sim: run canceled")
 
-// ErrHookUnsupported is returned by an engine that cannot honour
-// WithRoundHook. Today only the concurrent engine reports it: with one
-// goroutine per node and messages parked in per-port channels, there is
-// no moment at which a consistent whole-round outbox exists for a hook
-// to observe. The error is returned eagerly — before any node state or
-// goroutine is created — so a hooked run never silently loses its
-// trace; use the sequential or sharded engine (or RunAuto, which only
-// picks between those two) for traces and figures.
-var ErrHookUnsupported = errors.New("sim: engine does not support round hooks")
-
 const defaultMaxRounds = 100_000
 
 type config struct {
@@ -208,8 +141,8 @@ type config struct {
 
 // ctxErr reports the cancellation error to surface, or nil if the run's
 // context (if any) is still live. The message is deterministic — no
-// round counts or timestamps — so concurrent engines agree with the
-// sequential reference byte for byte.
+// round counts or timestamps — so every engine and shard count reports
+// the same error byte for byte.
 func (c *config) ctxErr(a Algorithm) error {
 	if c.ctx == nil || c.ctx.Err() == nil {
 		return nil
@@ -227,17 +160,14 @@ func WithMaxRounds(n int) Option {
 
 // WithRoundHook installs a callback invoked after the send phase of every
 // round with the full message matrix (sent[v][i-1] = message sent by v on
-// port i). The sequential and sharded engines honour the hook — they
-// present their flat outbox through per-node subslices and invoke the
-// hook between the send and receive phases, where no worker is running —
-// so traces and figures work at every graph scale. The concurrent engine
-// does not support hooks (its messages never exist in one place) and
-// returns ErrHookUnsupported when one is set. The hook must treat the
-// matrix as read-only (the messages are already delivered, and the next
-// send phase resets only the slots it delivered from) and must not
-// retain it across rounds: the rows are views of a flat buffer that is
-// recycled at the next barrier (the outboxalias analyzer in
-// internal/lint enforces this mechanically).
+// port i). The engines present their flat outbox through per-node
+// subslices and invoke the hook between the send and receive phases,
+// where no worker is running, so traces and figures work at every graph
+// scale. The hook must treat the matrix as read-only (the messages are
+// already delivered, and the next send phase resets only the slots it
+// delivered from) and must not retain it across rounds: the rows are
+// views of a flat buffer that is recycled at the next barrier (the
+// outboxalias analyzer in internal/lint enforces this mechanically).
 func WithRoundHook(fn func(round int, sent [][]Message)) Option {
 	return func(c *config) { c.roundHook = fn }
 }
@@ -317,12 +247,6 @@ func buildConfig(opts []Option) config {
 	return c
 }
 
-// malformedSend is the shared malformed-Send error, built identically by
-// every engine so error parity holds byte for byte.
-func malformedSend(a Algorithm, v, got, want int) error {
-	return fmt.Errorf("sim: algorithm %q: node %d sent %d messages, want %d", a.Name(), v, got, want)
-}
-
 // roundLimit is the shared round-budget error, built identically by
 // every engine.
 func roundLimit(a Algorithm, round int) error {
@@ -330,236 +254,35 @@ func roundLimit(a Algorithm, round int) error {
 }
 
 // RunSequential executes the algorithm on g with the deterministic
-// single-threaded reference engine: the sharded engine's round loop run
-// inline on one shard, with no goroutine and no channel. It shares that
-// loop's send-time delivery over the graph's flat routing view, its
-// zero-allocation send path (BufferedNode) and its pooled run state;
-// WithShards does not apply to it.
+// single-threaded engine: the sharded engine's round loop run inline on
+// one shard, with no goroutine and no channel. It shares that loop's
+// send-time delivery over the graph's flat routing view and its pooled
+// run state; WithShards does not apply to it.
 func RunSequential(g *graph.Graph, a Algorithm, opts ...Option) (*Result, error) {
 	c := buildConfig(opts)
 	return runShards(g, a, 1, &c)
 }
 
-// RunConcurrent executes the algorithm with one goroutine per node,
-// messages travelling over capacity-1 channels, and a coordinator barrier
-// aligning rounds. Its results are identical to RunSequential because each
-// node's view is deterministic regardless of scheduling.
-func RunConcurrent(g *graph.Graph, a Algorithm, opts ...Option) (*Result, error) {
-	c := buildConfig(opts)
-	if c.roundHook != nil {
-		return nil, fmt.Errorf("%w: algorithm %q: the concurrent engine has no barrier window in which the outbox is globally consistent; run hooks on the sequential or sharded engine", ErrHookUnsupported, a.Name())
-	}
-	if err := c.ctxErr(a); err != nil {
-		return nil, err
-	}
-	n := g.N()
-	clk := startClock(&c)
-	st := acquireState(n, 0, 0)
-	defer st.release()
-	nodes := st.nodes
-	bulk, _ := a.(BulkAlgorithm)
-	if err := st.buildNodes(g, a, bulk, 0, n, &st.arenas[0]); err != nil {
-		return nil, err
-	}
-	// in[v][i-1] is the inbound channel of port (v, i). Capacity 1: a
-	// round's message parks there until the owner consumes it.
-	in := make([][]chan Message, n)
-	for v := 0; v < n; v++ {
-		in[v] = make([]chan Message, g.Deg(v))
-		for i := range in[v] {
-			in[v][i] = make(chan Message, 1)
-		}
-	}
-	// start carries one signal per half-round: true = proceed with the
-	// send (resp. receive) half, false = stop. Splitting the round lets
-	// the coordinator abort a poisoned round after the send barrier, so
-	// no Receive ever observes the substitute messages of a malformed
-	// Send — the same abort point as the sequential and sharded engines.
-	start := make([]chan bool, n)
-	reports := make(chan int, n) // send half: nonzero count; receive half: completion
-	// A malformed Send cannot abort the send half (peers' channels must
-	// be filled to keep the half-round barrier alive), so the worker
-	// records the error, substitutes empty messages, and the coordinator
-	// fails the run at the barrier. The lowest node index wins so the
-	// error is deterministic and identical to the sequential engine's.
-	var (
-		errMu   sync.Mutex
-		errNode = -1
-		sendErr error
-	)
-	recordErr := func(v int, err error) {
-		errMu.Lock()
-		if errNode == -1 || v < errNode {
-			errNode, sendErr = v, err
-		}
-		errMu.Unlock()
-	}
-	takeErr := func() error {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return sendErr
-	}
-	var wg sync.WaitGroup
-	for v := 0; v < n; v++ {
-		start[v] = make(chan bool, 1)
-		wg.Add(1)
-		go func(v int) {
-			defer wg.Done()
-			node := nodes[v]
-			buffered := st.buffered[v]
-			deg := g.Deg(v)
-			inbox := make([]Message, deg)
-			// scratch is the worker's reusable outbox: retired rounds,
-			// the SendInto fast path, and malformed-Send substitution all
-			// fill it in place, so the steady state allocates nothing.
-			scratch := make([]Message, deg)
-			done := node.Done()
-			round := 0
-			for cont := range start[v] {
-				if !cont {
-					return
-				}
-				var out []Message
-				sentCount := 0
-				if !done {
-					if buffered != nil {
-						clear(scratch)
-						buffered.SendInto(round, scratch)
-						out = scratch
-					} else {
-						out = node.Send(round)
-						if len(out) != deg {
-							recordErr(v, malformedSend(a, v, len(out), deg))
-							clear(scratch)
-							out = scratch
-						}
-					}
-					for _, m := range out {
-						if m != 0 {
-							sentCount++
-						}
-					}
-				} else {
-					clear(scratch)
-					out = scratch
-				}
-				for i := 1; i <= deg; i++ {
-					q := g.P(v, i)
-					in[q.Node][q.Num-1] <- out[i-1]
-				}
-				reports <- sentCount
-				// Receive gate: the coordinator aborts here when any
-				// node's Send was malformed this round.
-				if !<-start[v] {
-					return
-				}
-				for i := 0; i < deg; i++ {
-					inbox[i] = <-in[v][i]
-				}
-				if !done {
-					node.Receive(round, inbox)
-					done = node.Done()
-				}
-				round++
-				reports <- 0
-			}
-		}(v)
-	}
-	stopAll := func() {
-		for v := 0; v < n; v++ {
-			start[v] <- false
-		}
-		wg.Wait()
-	}
-	clk.tickSetup()
-	res := &Result{}
-	for round := 0; ; round++ {
-		// Same barrier as the other engines: the workers are parked at
-		// the round-start gate, so stopAll's false signal releases them
-		// all and no goroutine outlives the call.
-		if err := c.ctxErr(a); err != nil {
-			stopAll()
-			return nil, err
-		}
-		allDone := true
-		for v := 0; v < n; v++ {
-			if !nodes[v].Done() {
-				allDone = false
-				break
-			}
-		}
-		if allDone {
-			break
-		}
-		if round >= c.maxRounds {
-			stopAll()
-			return nil, roundLimit(a, round)
-		}
-		res.Rounds = round + 1
-		for v := 0; v < n; v++ {
-			start[v] <- true // send half
-		}
-		for i := 0; i < n; i++ {
-			res.Messages += <-reports
-		}
-		if err := takeErr(); err != nil {
-			// Workers are parked at the receive gate; stopAll's false
-			// signal releases them there just as it does at round start.
-			stopAll()
-			return nil, err
-		}
-		for v := 0; v < n; v++ {
-			start[v] <- true // receive half
-		}
-		for i := 0; i < n; i++ {
-			<-reports
-		}
-	}
-	stopAll()
-	clk.tickRounds()
-	outputs, err := collectOutputs(g, a, nodes)
-	if err != nil {
-		return nil, err
-	}
-	res.Outputs = outputs
-	clk.tickOutputs()
-	return res, nil
-}
-
-// collectOutputs gathers, sorts, and validates the per-node port sets.
-func collectOutputs(g *graph.Graph, a Algorithm, nodes []Node) ([][]int, error) {
-	outputs := make([][]int, len(nodes))
-	if err := collectOutputsRange(g, a, nodes, 0, len(nodes), outputs); err != nil {
-		return nil, err
-	}
-	return outputs, nil
-}
-
 // collectOutputsRange gathers, sorts, and validates the port sets of
-// the node range [lo, hi), filling outputs[lo:hi]. All of the range's
-// ports land in one freshly allocated flat buffer — OutputAppender
-// nodes write onto it directly, legacy nodes are copied — and each
-// node's row becomes a capped subslice, so collection costs O(1)
-// allocations per range instead of one per node. The buffer is sized
-// once to the range's port count, which bounds every valid output, so
-// it never regrows unless an output is invalid. Rows may alias the
-// shared buffer but never each other, and a node with no output keeps
-// a nil row, so Results stay byte-identical (reflect.DeepEqual) no
-// matter which engine or shard count produced them. The first invalid
-// node in ascending order wins the error, matching the sequential
-// reference; safe for concurrent calls on disjoint ranges because the
-// buffer is call-local and outputs rows are per-node.
+// the node range [lo, hi), filling outputs[lo:hi]. Every node appends
+// its ports onto one freshly allocated flat buffer and each node's row
+// becomes a capped subslice, so collection costs O(1) allocations per
+// range instead of one per node. The buffer is sized once to the
+// range's port count, which bounds every valid output, so it never
+// regrows unless an output is invalid. Rows may alias the shared buffer
+// but never each other, and a node with no output keeps a nil row, so
+// Results stay byte-identical (reflect.DeepEqual) no matter which
+// engine or shard count produced them. The first invalid node in
+// ascending order wins the error; safe for concurrent calls on disjoint
+// ranges because the buffer is call-local and outputs rows are
+// per-node.
 func collectOutputsRange(g *graph.Graph, a Algorithm, nodes []Node, lo, hi int, outputs [][]int) error {
 	off := g.PortOffsets()
 	flat := make([]int, 0, off[hi]-off[lo])
 	ends := make([]int, hi-lo)
 	for v := lo; v < hi; v++ {
 		start := len(flat)
-		if ap, ok := nodes[v].(OutputAppender); ok {
-			flat = ap.AppendOutput(flat)
-		} else {
-			flat = append(flat, nodes[v].Output()...)
-		}
+		flat = nodes[v].AppendOutput(flat)
 		row := flat[start:]
 		sort.Ints(row)
 		for k, p := range row {

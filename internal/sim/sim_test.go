@@ -18,8 +18,10 @@ type markAlg struct{}
 // mark is markAlg's one message.
 const mark Message = 1
 
-func (markAlg) Name() string            { return "mark-port-one" }
-func (markAlg) NewNode(degree int) Node { return &markNode{deg: degree} }
+func (markAlg) Name() string { return "mark-port-one" }
+func (markAlg) BuildNodes(g *graph.Graph, lo, hi int, _ *StateArena, nodes []Node) {
+	BuildEach(g, lo, nodes, func(degree int) Node { return &markNode{deg: degree} })
+}
 
 type markNode struct {
 	deg  int
@@ -27,12 +29,10 @@ type markNode struct {
 	out  []int
 }
 
-func (n *markNode) Send(round int) []Message {
-	msgs := make([]Message, n.deg)
+func (n *markNode) SendInto(round int, buf []Message) {
 	if n.deg > 0 {
-		msgs[0] = mark
+		buf[0] = mark
 	}
-	return msgs
 }
 
 func (n *markNode) Receive(round int, inbox []Message) {
@@ -47,26 +47,26 @@ func (n *markNode) Receive(round int, inbox []Message) {
 	n.done = true
 }
 
-func (n *markNode) Done() bool    { return n.done }
-func (n *markNode) Output() []int { return n.out }
+func (n *markNode) Done() bool                   { return n.done }
+func (n *markNode) AppendOutput(dst []int) []int { return append(dst, n.out...) }
 
 // sumAlg runs `rounds` rounds, each node broadcasting a running sum seeded
 // with its degree; the output is empty. It exercises multi-round routing.
 type sumAlg struct{ rounds int }
 
-func (sumAlg) Name() string              { return "degree-sum" }
-func (a sumAlg) NewNode(degree int) Node { return &sumNode{deg: degree, left: a.rounds, sum: degree} }
-
-type sumNode struct {
-	deg, left, sum int
+func (sumAlg) Name() string { return "degree-sum" }
+func (a sumAlg) BuildNodes(g *graph.Graph, lo, hi int, _ *StateArena, nodes []Node) {
+	BuildEach(g, lo, nodes, func(degree int) Node { return &sumNode{left: a.rounds, sum: degree} })
 }
 
-func (n *sumNode) Send(round int) []Message {
-	msgs := make([]Message, n.deg)
-	for i := range msgs {
-		msgs[i] = Message(n.sum)
+type sumNode struct {
+	left, sum int
+}
+
+func (n *sumNode) SendInto(round int, buf []Message) {
+	for i := range buf {
+		buf[i] = Message(n.sum)
 	}
-	return msgs
 }
 
 func (n *sumNode) Receive(round int, inbox []Message) {
@@ -76,34 +76,38 @@ func (n *sumNode) Receive(round int, inbox []Message) {
 	n.left--
 }
 
-func (n *sumNode) Done() bool    { return n.left <= 0 }
-func (n *sumNode) Output() []int { return nil }
+func (n *sumNode) Done() bool                   { return n.left <= 0 }
+func (n *sumNode) AppendOutput(dst []int) []int { return dst }
 
 // neverAlg never terminates.
 type neverAlg struct{}
 
-func (neverAlg) Name() string            { return "never" }
-func (neverAlg) NewNode(degree int) Node { return &neverNode{deg: degree} }
+func (neverAlg) Name() string { return "never" }
+func (neverAlg) BuildNodes(g *graph.Graph, lo, hi int, _ *StateArena, nodes []Node) {
+	BuildEach(g, lo, nodes, func(int) Node { return neverNode{} })
+}
 
-type neverNode struct{ deg int }
+type neverNode struct{}
 
-func (n *neverNode) Send(round int) []Message           { return make([]Message, n.deg) }
-func (n *neverNode) Receive(round int, inbox []Message) {}
-func (n *neverNode) Done() bool                         { return false }
-func (n *neverNode) Output() []int                      { return nil }
+func (neverNode) SendInto(round int, buf []Message)  {}
+func (neverNode) Receive(round int, inbox []Message) {}
+func (neverNode) Done() bool                         { return false }
+func (neverNode) AppendOutput(dst []int) []int       { return dst }
 
 // badPortAlg outputs an out-of-range port.
 type badPortAlg struct{}
 
-func (badPortAlg) Name() string            { return "bad-port" }
-func (badPortAlg) NewNode(degree int) Node { return &badPortNode{deg: degree} }
+func (badPortAlg) Name() string { return "bad-port" }
+func (badPortAlg) BuildNodes(g *graph.Graph, lo, hi int, _ *StateArena, nodes []Node) {
+	BuildEach(g, lo, nodes, func(degree int) Node { return badPortNode{deg: degree} })
+}
 
 type badPortNode struct{ deg int }
 
-func (n *badPortNode) Send(round int) []Message           { return make([]Message, n.deg) }
-func (n *badPortNode) Receive(round int, inbox []Message) {}
-func (n *badPortNode) Done() bool                         { return true }
-func (n *badPortNode) Output() []int                      { return []int{n.deg + 1} }
+func (badPortNode) SendInto(round int, buf []Message)  {}
+func (badPortNode) Receive(round int, inbox []Message) {}
+func (badPortNode) Done() bool                         { return true }
+func (n badPortNode) AppendOutput(dst []int) []int     { return append(dst, n.deg+1) }
 
 func TestMarkAlgOnCycle(t *testing.T) {
 	g := gen.Cycle(5)
@@ -143,19 +147,13 @@ func TestEnginesAgreeQuick(t *testing.T) {
 			g = gen.RandomTree(rng, 2+rng.Intn(15))
 		}
 		for _, alg := range []Algorithm{markAlg{}, sumAlg{rounds: 3}} {
-			seq, err := RunSequential(g, alg)
+			ref, err := RunReference(g, alg)
 			if err != nil {
 				return false
 			}
-			for _, run := range []func(*graph.Graph, Algorithm, ...Option) (*Result, error){RunConcurrent, RunSharded} {
+			for _, run := range []func(*graph.Graph, Algorithm, ...Option) (*Result, error){RunSequential, RunSharded} {
 				res, err := run(g, alg)
-				if err != nil {
-					return false
-				}
-				if !reflect.DeepEqual(seq.Outputs, res.Outputs) {
-					return false
-				}
-				if seq.Rounds != res.Rounds || seq.Messages != res.Messages {
+				if err != nil || !reflect.DeepEqual(res, ref) {
 					return false
 				}
 			}
@@ -174,23 +172,21 @@ func TestEnginesOnMultigraph(t *testing.T) {
 	b.MustConnect(0, 1, 0, 2)
 	b.MustConnect(0, 3, 0, 3)
 	g := b.MustBuild()
-	seq, err := RunSequential(g, sumAlg{rounds: 2})
+	ref, err := RunReference(g, sumAlg{rounds: 2})
 	if err != nil {
-		t.Fatalf("RunSequential: %v", err)
+		t.Fatalf("RunReference: %v", err)
 	}
-	con, err := RunConcurrent(g, sumAlg{rounds: 2})
-	if err != nil {
-		t.Fatalf("RunConcurrent: %v", err)
-	}
-	if seq.Messages != con.Messages || seq.Rounds != con.Rounds {
-		t.Errorf("engines disagree: %+v vs %+v", seq, con)
-	}
-	sh, err := RunSharded(g, sumAlg{rounds: 2})
-	if err != nil {
-		t.Fatalf("RunSharded: %v", err)
-	}
-	if seq.Messages != sh.Messages || seq.Rounds != sh.Rounds {
-		t.Errorf("sharded engine disagrees: %+v vs %+v", seq, sh)
+	for name, run := range map[string]func(*graph.Graph, Algorithm, ...Option) (*Result, error){
+		"sequential": RunSequential,
+		"sharded":    RunSharded,
+	} {
+		res, err := run(g, sumAlg{rounds: 2})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Messages != ref.Messages || res.Rounds != ref.Rounds {
+			t.Errorf("%s disagrees with the reference: %+v vs %+v", name, res, ref)
+		}
 	}
 }
 
@@ -199,50 +195,50 @@ func TestEnginesOnMultigraph(t *testing.T) {
 // is the regression test for the sequential engine's done-scan — an early
 // break used to leave retired nodes' flags unset, so they kept sending
 // (inflating Messages relative to the other engines, or crashing nodes
-// whose Send cannot run past their schedule).
+// whose SendInto cannot run past their schedule).
 type varAlg struct{}
 
-func (varAlg) Name() string            { return "degree-rounds" }
-func (varAlg) NewNode(degree int) Node { return &varNode{deg: degree, left: degree} }
+func (varAlg) Name() string { return "degree-rounds" }
+func (varAlg) BuildNodes(g *graph.Graph, lo, hi int, _ *StateArena, nodes []Node) {
+	BuildEach(g, lo, nodes, func(degree int) Node { return &varNode{left: degree} })
+}
 
-type varNode struct{ deg, left int }
+type varNode struct{ left int }
 
-func (n *varNode) Send(round int) []Message {
-	msgs := make([]Message, n.deg)
-	for i := range msgs {
-		msgs[i] = 1
+func (n *varNode) SendInto(round int, buf []Message) {
+	for i := range buf {
+		buf[i] = 1
 	}
-	return msgs
 }
 
 func (n *varNode) Receive(round int, inbox []Message) { n.left-- }
 func (n *varNode) Done() bool                         { return n.left <= 0 }
-func (n *varNode) Output() []int                      { return nil }
+func (n *varNode) AppendOutput(dst []int) []int       { return dst }
 
 func TestHeterogeneousTermination(t *testing.T) {
 	// Star K_{1,4}: the centre runs 4 rounds, the leaves one round each.
 	g := graph.MustFromUndirected(5, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}})
-	seq, err := RunSequential(g, varAlg{})
+	ref, err := RunReference(g, varAlg{})
 	if err != nil {
-		t.Fatalf("RunSequential: %v", err)
+		t.Fatalf("RunReference: %v", err)
 	}
-	if seq.Rounds != 4 {
-		t.Errorf("Rounds = %d, want 4", seq.Rounds)
+	if ref.Rounds != 4 {
+		t.Errorf("Rounds = %d, want 4", ref.Rounds)
 	}
 	// Centre sends 4 rounds x 4 ports, each leaf sends 1 round x 1 port.
-	if want := 4*4 + 4; seq.Messages != want {
-		t.Errorf("Messages = %d, want %d (retired leaves must not send)", seq.Messages, want)
+	if want := 4*4 + 4; ref.Messages != want {
+		t.Errorf("Messages = %d, want %d (retired leaves must not send)", ref.Messages, want)
 	}
 	for name, run := range map[string]func(*graph.Graph, Algorithm, ...Option) (*Result, error){
-		"concurrent": RunConcurrent,
+		"sequential": RunSequential,
 		"sharded":    RunSharded,
 	} {
 		res, err := run(g, varAlg{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if res.Rounds != seq.Rounds || res.Messages != seq.Messages {
-			t.Errorf("%s disagrees: %+v vs %+v", name, res, seq)
+		if res.Rounds != ref.Rounds || res.Messages != ref.Messages {
+			t.Errorf("%s disagrees with the reference: %+v vs %+v", name, res, ref)
 		}
 	}
 }
@@ -282,9 +278,6 @@ func TestRoundLimit(t *testing.T) {
 	g := gen.Cycle(4)
 	if _, err := RunSequential(g, neverAlg{}, WithMaxRounds(10)); !errors.Is(err, ErrRoundLimit) {
 		t.Errorf("sequential: err = %v, want ErrRoundLimit", err)
-	}
-	if _, err := RunConcurrent(g, neverAlg{}, WithMaxRounds(10)); !errors.Is(err, ErrRoundLimit) {
-		t.Errorf("concurrent: err = %v, want ErrRoundLimit", err)
 	}
 	if _, err := RunSharded(g, neverAlg{}, WithMaxRounds(10)); !errors.Is(err, ErrRoundLimit) {
 		t.Errorf("sharded: err = %v, want ErrRoundLimit", err)
@@ -361,9 +354,8 @@ func TestRoundHookSeesMessages(t *testing.T) {
 }
 
 func TestRunAutoHonoursRoundHook(t *testing.T) {
-	// Above the auto threshold RunAuto prefers the sharded engine, but a
-	// round hook must force the sequential engine — the only one that
-	// honours it — so the hook never goes silently uninvoked.
+	// Above the auto threshold RunAuto picks the sharded engine, which
+	// must drive the hook itself: the hook never goes silently uninvoked.
 	g := gen.Cycle(AutoShardedPorts) // 2n ports, above the sharded cutover
 	hooked := 0
 	res, err := RunAuto(g, sumAlg{rounds: 2}, WithRoundHook(func(int, [][]Message) { hooked++ }))
@@ -383,7 +375,7 @@ func TestRunAutoHonoursRoundHook(t *testing.T) {
 }
 
 func TestEnginesRegistryComplete(t *testing.T) {
-	want := []string{"sequential", "concurrent", "sharded"}
+	want := []string{"sequential", "sharded"}
 	reg := Engines()
 	if len(reg) != len(want) {
 		t.Fatalf("registry has %d engines, want %d", len(reg), len(want))

@@ -7,12 +7,12 @@ import (
 )
 
 // Trace records the message profile of an execution round by round:
-// how many messages were sent and of which kinds. Attach it to a
-// sequential, sharded, or auto run with its Option; it is the machinery
-// behind the per-phase communication profiles in the experiment reports.
-// Traces are engine-independent: the sharded engine produces the exact
-// trace the sequential reference would (a property test in
-// engines_test.go enforces it).
+// how many messages were sent and of which kinds. Attach it to any run
+// with its Option; it is the machinery behind the per-phase
+// communication profiles in the experiment reports. Traces are
+// engine-independent: the sharded engine produces the exact trace the
+// sequential engine would (a property test in engines_test.go enforces
+// it).
 type Trace struct {
 	Rounds []RoundTrace
 }
@@ -27,10 +27,7 @@ type RoundTrace struct {
 // NewTrace returns an empty trace and the option that attaches it to a
 // run. kind names the kind of each nonzero message; a Message is the
 // algorithm's own encoding, so the package that defines the messages
-// supplies it (core.KindName for the paper's algorithms). The
-// sequential and sharded engines (and RunAuto, which only ever picks
-// between the two) support tracing; the concurrent engine rejects
-// traced runs with ErrHookUnsupported.
+// supplies it (core.KindName for the paper's algorithms).
 func NewTrace(kind func(Message) string) (*Trace, Option) {
 	t := &Trace{}
 	return t, WithRoundHook(func(round int, sent [][]Message) {

@@ -142,7 +142,7 @@ func Algorithm(spec string, g *graph.Graph) (sim.Algorithm, *ratio.R, error) {
 	case "idmatching":
 		// Model extension: unique IDs. Any maximal matching is a
 		// 2-approximation.
-		return core.NewIDMatching(), bound(ratio.FromInt(2)), nil
+		return core.IDMatching{}, bound(ratio.FromInt(2)), nil
 	default:
 		return nil, nil, fmt.Errorf("unknown algorithm %q", name)
 	}

@@ -5,11 +5,7 @@
 // analysis hold on a concrete run.
 package verify
 
-import (
-	"fmt"
-
-	"eds/internal/graph"
-)
+import "eds/internal/graph"
 
 // IsEdgeDominatingSet reports whether every edge of g is in s or adjacent
 // to an edge of s.
@@ -112,14 +108,4 @@ func IsStarForest(g *graph.Graph, s *graph.EdgeSet) bool {
 		return true
 	})
 	return ok
-}
-
-// Validate bundles the common post-run checks for an algorithm's output
-// set: it must be an edge dominating set, and on d-regular graphs the
-// Theorem 3/4 size bounds must hold. It returns a descriptive error.
-func Validate(g *graph.Graph, s *graph.EdgeSet) error {
-	if !IsEdgeDominatingSet(g, s) {
-		return fmt.Errorf("verify: output is not an edge dominating set")
-	}
-	return nil
 }

@@ -181,13 +181,3 @@ func TestMaximalMatchingFromEDSRejectsNonEDS(t *testing.T) {
 		t.Error("non-EDS accepted")
 	}
 }
-
-func TestValidate(t *testing.T) {
-	g := gen.Cycle(5)
-	if err := Validate(g, allEdgeSet(g)); err != nil {
-		t.Errorf("full edge set rejected: %v", err)
-	}
-	if err := Validate(g, graph.NewEdgeSet(g.M())); err == nil {
-		t.Error("empty set accepted for a cycle")
-	}
-}
