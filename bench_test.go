@@ -30,10 +30,11 @@ func benchRun(b *testing.B, g *graph.Graph, alg sim.Algorithm, opt int) {
 	b.Helper()
 	var lastSize, lastRounds int
 	for i := 0; i < b.N; i++ {
-		d, res, err := sim.RunToEdgeSet(g, alg)
+		res, err := sim.RunSequential(g, alg)
 		if err != nil {
 			b.Fatal(err)
 		}
+		d := res.Outputs
 		lastSize = d.Count()
 		lastRounds = res.Rounds
 	}
@@ -130,10 +131,11 @@ func BenchmarkAblation(b *testing.B) {
 		var last int
 		var rounds int
 		for i := 0; i < b.N; i++ {
-			mm, res, err := sim.RunToEdgeSet(c.G, core.IDMatching{})
+			res, err := sim.RunSequential(c.G, core.IDMatching{})
 			if err != nil {
 				b.Fatal(err)
 			}
+			mm := res.Outputs
 			last = mm.Count()
 			rounds = res.Rounds
 		}

@@ -15,10 +15,7 @@ import (
 // report prints the execution summary and optionally a DOT rendering.
 func report(w io.Writer, g *graph.Graph, alg sim.Algorithm, bound *ratio.R,
 	res *sim.Result, knownOpt *graph.EdgeSet, exact bool, dotOut string) error {
-	d, err := sim.EdgeSet(g, res.Outputs)
-	if err != nil {
-		return err
-	}
+	d := res.Outputs
 	fmt.Fprintf(w, "graph: n=%d m=%d maxdeg=%d", g.N(), g.M(), g.MaxDegree())
 	if deg, ok := g.Regular(); ok {
 		fmt.Fprintf(w, " (%d-regular)", deg)

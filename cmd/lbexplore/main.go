@@ -19,6 +19,7 @@ import (
 
 	"eds/internal/core"
 	"eds/internal/cover"
+	"eds/internal/graph"
 	"eds/internal/lowerbound"
 	"eds/internal/ratio"
 	"eds/internal/sim"
@@ -66,10 +67,11 @@ func explore(w io.Writer, d int, fibres bool) error {
 		algs = append(algs, core.RegularOdd{}, core.RegularOdd{SkipPruning: true})
 	}
 	for _, alg := range algs {
-		ds, res, err := sim.RunToEdgeSet(c.G, alg)
+		res, err := sim.RunSequential(c.G, alg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", alg.Name(), err)
 		}
+		ds := res.Outputs
 		measured := ratio.New(int64(ds.Count()), int64(c.Opt.Count()))
 		fmt.Fprintf(w, "  %-24s |D| = %4d  ratio = %-7s (%.4f)  rounds = %4d  feasible = %v\n",
 			alg.Name(), ds.Count(), measured.String(), measured.Float64(), res.Rounds,
@@ -85,9 +87,10 @@ func explore(w io.Writer, d int, fibres bool) error {
 		}
 		byFibre := make(map[int][]int)
 		for v, f := range c.Map {
+			x := graph.PortsIn(c.G, res.Outputs, v)
 			if _, seen := byFibre[f]; !seen {
-				byFibre[f] = res.Outputs[v]
-			} else if fmt.Sprint(byFibre[f]) != fmt.Sprint(res.Outputs[v]) {
+				byFibre[f] = x
+			} else if fmt.Sprint(byFibre[f]) != fmt.Sprint(x) {
 				return fmt.Errorf("fibre %d outputs are not uniform", f)
 			}
 		}

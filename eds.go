@@ -62,7 +62,8 @@ type (
 	// Node is one node's state machine: SendInto writes the round's
 	// outgoing messages into an engine-owned buffer that must not be
 	// retained past the call, Receive consumes the incoming ones, and
-	// AppendOutput reports the chosen ports.
+	// Output marks the chosen ports in that buffer once after the last
+	// round, from which the engine builds the edge set.
 	Node = sim.Node
 	// Message is one message on one port: a uint64 word whose meaning
 	// the algorithm defines; 0 means "no message".
@@ -73,7 +74,8 @@ type (
 	// Timings is the per-run wall-clock split (setup, rounds, outputs)
 	// recorded by WithTimings.
 	Timings = sim.Timings
-	// Result carries the statistics of one execution.
+	// Result carries the statistics of one execution and its edge set
+	// (Outputs), the one the Run functions return.
 	Result = sim.Result
 	// Option customises an execution (context, round budget, shards).
 	Option = sim.Option
@@ -212,11 +214,7 @@ func runWith(run func(*graph.Graph, sim.Algorithm, ...sim.Option) (*sim.Result, 
 	if err != nil {
 		return nil, nil, err
 	}
-	d, err := sim.EdgeSet(g, res.Outputs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return d, res, nil
+	return res.Outputs, res, nil
 }
 
 // Verification and baselines.

@@ -36,10 +36,11 @@ func main() {
 		core.NewGeneral(d + 3), // extra slack changes nothing
 	}
 	for _, alg := range algs {
-		ds, _, err := sim.RunToEdgeSet(c.G, alg)
+		res, err := sim.RunSequential(c.G, alg)
 		if err != nil {
 			log.Fatal(err)
 		}
+		ds := res.Outputs
 		ratio := float64(ds.Count()) / float64(c.Opt.Count())
 		fmt.Printf("  %-24s |D| = %2d  ratio = %.4f (forced >= %.4f: %v)\n",
 			alg.Name(), ds.Count(), ratio, 4-2.0/d, ratio >= 4-2.0/d-1e-9)
@@ -54,10 +55,11 @@ func main() {
 	opt := verify.MinimumMaximalMatching(g).Count()
 	fmt.Printf("\nrandom %d-regular graph with n = %d (optimum %d):\n", d, g.N(), opt)
 	for _, alg := range algs {
-		ds, _, err := sim.RunToEdgeSet(g, alg)
+		res, err := sim.RunSequential(g, alg)
 		if err != nil {
 			log.Fatal(err)
 		}
+		ds := res.Outputs
 		fmt.Printf("  %-24s |D| = %2d  ratio = %.4f\n",
 			alg.Name(), ds.Count(), float64(ds.Count())/float64(opt))
 	}

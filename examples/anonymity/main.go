@@ -17,6 +17,7 @@ import (
 	"eds"
 	"eds/internal/core"
 	"eds/internal/cover"
+	"eds/internal/graph"
 	"eds/internal/sim"
 	"eds/internal/verify"
 )
@@ -63,21 +64,20 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("output of every cycle node: %v\n", rc.Outputs[0])
-	fmt.Printf("output of the loop node:    %v\n", rl.Outputs[0])
+	// Each node's output X(v) is read back from the edge set D.
+	xLoop := fmt.Sprint(graph.PortsIn(loop, rl.Outputs, 0))
+	fmt.Printf("output of every cycle node: %v\n", graph.PortsIn(cycle, rc.Outputs, 0))
+	fmt.Printf("output of the loop node:    %v\n", xLoop)
 	uniform := true
-	for v := range rc.Outputs {
-		if fmt.Sprint(rc.Outputs[v]) != fmt.Sprint(rl.Outputs[0]) {
+	for v := 0; v < n; v++ {
+		if fmt.Sprint(graph.PortsIn(cycle, rc.Outputs, v)) != xLoop {
 			uniform = false
 		}
 	}
 	fmt.Printf("all %d nodes output exactly the loop node's output: %v\n\n", n, uniform)
 
 	// The symmetric output is feasible but pays the price of symmetry.
-	d, err := sim.EdgeSet(cycle, rc.Outputs)
-	if err != nil {
-		log.Fatal(err)
-	}
+	d := rc.Outputs
 	opt := verify.MinimumMaximalMatching(cycle).Count()
 	fmt.Printf("the symmetric EDS selects all %d edges; optimum is %d: ratio %.2f, exactly the tight bound 4-2/d for d = 2\n",
 		d.Count(), opt, float64(d.Count())/float64(opt))

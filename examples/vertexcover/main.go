@@ -20,6 +20,7 @@ import (
 
 	"eds"
 	"eds/internal/core"
+	"eds/internal/graph"
 	"eds/internal/sim"
 	"eds/internal/verify"
 )
@@ -37,11 +38,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cover := make([]bool, g.N())
+	// The cover is the nodes with a non-empty output X(v): the nodes
+	// the selected edges cover.
+	cover := graph.CoveredNodes(g, res.Outputs)
 	size := 0
-	for v, out := range res.Outputs {
-		if len(out) > 0 {
-			cover[v] = true
+	for _, in := range cover {
+		if in {
 			size++
 		}
 	}

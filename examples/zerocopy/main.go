@@ -6,10 +6,13 @@
 // call, so it can put them in one value slab and carve their per-port
 // state from the engine's pooled StateArena. An eds.Node writes each
 // round's messages straight into a window of the engine's pooled flat
-// outbox. A message is one uint64 word (0 means "no message"), so
-// writing one never allocates. This example defines a toy multi-round
-// protocol that way and measures it with testing.AllocsPerRun: the
-// allocation count of a run does not grow with its round count.
+// outbox, and after the last round marks its chosen ports in that
+// window once more; the engine checks the marks and returns the chosen
+// edges as one edge set D. A message is one uint64 word (0 means "no
+// message"), so writing one never allocates. This example defines a toy
+// multi-round protocol that way and measures it with
+// testing.AllocsPerRun: the allocation count of a run does not grow
+// with its round count.
 package main
 
 import (
@@ -27,7 +30,7 @@ const beat eds.Message = 1
 
 // pulse is a deliberately minimal custom algorithm: every node
 // broadcasts a heartbeat on all ports for a fixed number of rounds,
-// counts per port what it hears, and selects no edges.
+// counts per port what it hears, and selects the edges it heard from.
 type pulse struct{ rounds int }
 
 func (p pulse) Name() string { return fmt.Sprintf("pulse(%d)", p.rounds) }
@@ -72,8 +75,18 @@ func (n *pulseNode) Receive(round int, inbox []eds.Message) {
 
 func (n *pulseNode) Done() bool { return n.left <= 0 }
 
-// AppendOutput appends the chosen ports to dst; pulse chooses none.
-func (n *pulseNode) AppendOutput(dst []int) []int { return dst }
+// Output marks the chosen ports with a nonzero word in the window the
+// engine hands over once after the last round, under SendInto's rule:
+// keep nothing. A node chooses every port it heard from; both ends of an
+// edge hear each other, so the choice is consistent, which the engine
+// checks before it returns D.
+func (n *pulseNode) Output(buf []eds.Message) {
+	for i, h := range n.heard {
+		if h > 0 {
+			buf[i] = beat
+		}
+	}
+}
 
 func main() {
 	log.SetFlags(0)
@@ -86,6 +99,11 @@ func main() {
 			}
 		})
 	}
+	d, _, err := eds.RunSharded(g, pulse{rounds: 4})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("pulse selected %d of %d edges\n", d.Count(), g.M())
 	short, long := measure(4), measure(64)
 	fmt.Printf(" 4 rounds: %4.0f allocs per run\n64 rounds: %4.0f allocs per run\nper extra round: %.2f\n",
 		short, long, (long-short)/60)

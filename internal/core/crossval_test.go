@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -17,11 +16,11 @@ import (
 // edge set, failing the property on any error.
 func runEdgeSet(t testing.TB, g *graph.Graph, a sim.Algorithm) (*graph.EdgeSet, *sim.Result) {
 	t.Helper()
-	d, res, err := sim.RunToEdgeSet(g, a)
+	res, err := sim.RunSequential(g, a)
 	if err != nil {
 		t.Fatalf("%s: %v", a.Name(), err)
 	}
-	return d, res
+	return res.Outputs, res
 }
 
 func TestPortOneMatchesReferenceQuick(t *testing.T) {
@@ -33,10 +32,11 @@ func TestPortOneMatchesReferenceQuick(t *testing.T) {
 			n++
 		}
 		g := gen.MustRandomRegular(rng, n, d)
-		got, res, err := sim.RunToEdgeSet(g, core.PortOne{})
+		res, err := sim.RunSequential(g, core.PortOne{})
 		if err != nil {
 			return false
 		}
+		got := res.Outputs
 		if res.Rounds != 1 {
 			return false
 		}
@@ -58,10 +58,11 @@ func TestRegularOddMatchesReferenceQuick(t *testing.T) {
 		g := gen.MustRandomRegular(rng, n, d)
 		for _, skip := range []bool{false, true} {
 			alg := core.RegularOdd{SkipPruning: skip}
-			got, res, err := sim.RunToEdgeSet(g, alg)
+			res, err := sim.RunSequential(g, alg)
 			if err != nil {
 				return false
 			}
+			got := res.Outputs
 			if res.Rounds != alg.Rounds(d) {
 				return false
 			}
@@ -106,10 +107,11 @@ func TestGeneralMatchesReferenceQuick(t *testing.T) {
 			delta += 1 + rng.Intn(3)
 		}
 		alg := core.NewGeneral(delta)
-		got, res, err := sim.RunToEdgeSet(g, alg)
+		res, err := sim.RunSequential(g, alg)
 		if err != nil {
 			return false
 		}
+		got := res.Outputs
 		if res.Rounds != alg.Rounds(0) {
 			return false
 		}
@@ -146,7 +148,7 @@ func TestEnginesAgreeOnRealAlgorithms(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s sharded: %v", a.Name(), err)
 			}
-			if !reflect.DeepEqual(seq.Outputs, sh.Outputs) {
+			if !seq.Outputs.Equal(sh.Outputs) {
 				t.Errorf("%s: engines disagree", a.Name())
 			}
 		}

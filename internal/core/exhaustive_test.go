@@ -92,10 +92,11 @@ func TestExhaustivePortNumberingsK4(t *testing.T) {
 			t.Fatalf("numbering %d invalid: %v", count, err)
 		}
 		for _, alg := range algs {
-			d, _, err := sim.RunToEdgeSet(g, alg)
+			res, err := sim.RunSequential(g, alg)
 			if err != nil {
 				t.Fatalf("numbering %d: %v", count, err)
 			}
+			d := res.Outputs
 			if !verify.IsEdgeDominatingSet(g, d) {
 				t.Fatalf("numbering %d: %s output infeasible", count, alg.Name())
 			}
@@ -141,10 +142,11 @@ func TestExhaustivePortNumberingsC4(t *testing.T) {
 			b.MustConnect(v, port(v, 0), w, port(w, 1))
 		}
 		g := b.MustBuild()
-		d, _, err := sim.RunToEdgeSet(g, core.PortOne{})
+		res, err := sim.RunSequential(g, core.PortOne{})
 		if err != nil {
 			t.Fatalf("mask %d: %v", mask, err)
 		}
+		d := res.Outputs
 		if !verify.IsEdgeDominatingSet(g, d) {
 			t.Fatalf("mask %d: infeasible", mask)
 		}

@@ -121,13 +121,12 @@ func generalProgram(kind string, delta int) *program[generalState] {
 	return cachedProgram(kind, 0, func() *program[generalState] {
 		p := &program[generalState]{
 			init: initGeneralState,
-			output: func(st *generalState, deg int, dst []int) []int {
-				for idx := 0; idx < deg; idx++ {
+			output: func(st *generalState, buf []sim.Message) {
+				for idx := range buf {
 					if st.inSet[idx] || st.inP[idx] {
-						dst = append(dst, idx+1)
+						buf[idx] = chosenMark
 					}
 				}
-				return dst
 			},
 		}
 		p.steps = append(p.steps, labelExchangeStep(generalPair))

@@ -149,10 +149,9 @@ func (n *idNode) Receive(round int, inbox []sim.Message) {
 
 func (n *idNode) Done() bool { return n.done }
 
-// AppendOutput implements sim.Node.
-func (n *idNode) AppendOutput(dst []int) []int {
+// Output implements sim.Node.
+func (n *idNode) Output(buf []sim.Message) {
 	if n.matchedPort >= 0 {
-		return append(dst, n.matchedPort+1)
+		buf[n.matchedPort] = chosenMark
 	}
-	return dst
 }

@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -18,10 +17,11 @@ func TestIDMatchingMaximalQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.RandomBoundedDegree(rng, 4+rng.Intn(16), 1+rng.Intn(5), 0.5)
-		mm, res, err := sim.RunToEdgeSet(g, core.IDMatching{})
+		res, err := sim.RunSequential(g, core.IDMatching{})
 		if err != nil {
 			return false
 		}
+		mm := res.Outputs
 		if !verify.IsMaximalMatching(g, mm) {
 			return false
 		}
@@ -41,10 +41,11 @@ func TestIDsBreakTheAdversarialConstruction(t *testing.T) {
 	// at most 2.
 	for _, d := range []int{4, 6, 8} {
 		c := lowerbound.MustEven(d)
-		mm, _, err := sim.RunToEdgeSet(c.G, core.IDMatching{})
+		res, err := sim.RunSequential(c.G, core.IDMatching{})
 		if err != nil {
 			t.Fatalf("d=%d: %v", d, err)
 		}
+		mm := res.Outputs
 		if !verify.IsMaximalMatching(c.G, mm) {
 			t.Fatalf("d=%d: not a maximal matching", d)
 		}
@@ -70,7 +71,7 @@ func TestIDMatchingEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sharded: %v", err)
 	}
-	if !reflect.DeepEqual(seq.Outputs, sh.Outputs) {
+	if !seq.Outputs.Equal(sh.Outputs) {
 		t.Error("engines disagree on IDMatching")
 	}
 }
@@ -78,10 +79,11 @@ func TestIDMatchingEnginesAgree(t *testing.T) {
 func TestIDMatchingOnEdgeCases(t *testing.T) {
 	t.Run("single edge", func(t *testing.T) {
 		g := gen.Path(2)
-		mm, _, err := sim.RunToEdgeSet(g, core.IDMatching{})
+		res, err := sim.RunSequential(g, core.IDMatching{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		mm := res.Outputs
 		if mm.Count() != 1 {
 			t.Errorf("got %d edges, want 1", mm.Count())
 		}
@@ -95,10 +97,11 @@ func TestIDMatchingOnEdgeCases(t *testing.T) {
 	})
 	t.Run("star", func(t *testing.T) {
 		g := gen.Star(6)
-		mm, _, err := sim.RunToEdgeSet(g, core.IDMatching{})
+		res, err := sim.RunSequential(g, core.IDMatching{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		mm := res.Outputs
 		if mm.Count() != 1 {
 			t.Errorf("star matching size %d, want 1", mm.Count())
 		}

@@ -60,8 +60,8 @@ func portOneProgram(kind string) *program[portOneState] {
 					}
 				},
 			}},
-			output: func(st *portOneState, _ int, dst []int) []int {
-				return appendChosen(dst, st.chosen)
+			output: func(st *portOneState, buf []sim.Message) {
+				markChosen(buf, st.chosen)
 			},
 		}
 	})
@@ -92,11 +92,10 @@ func (a AllEdges) BuildNodes(g *graph.Graph, lo, hi int, arena *sim.StateArena, 
 func allEdgesProgram(kind string) *program[struct{}] {
 	return cachedProgram(kind, 0, func() *program[struct{}] {
 		return &program[struct{}]{
-			output: func(_ *struct{}, deg int, dst []int) []int {
-				for i := 1; i <= deg; i++ {
-					dst = append(dst, i)
+			output: func(_ *struct{}, buf []sim.Message) {
+				for i := range buf {
+					buf[i] = chosenMark
 				}
-				return dst
 			},
 		}
 	})

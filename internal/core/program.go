@@ -41,17 +41,16 @@ type program[S any] struct {
 	// init prepares a node's zeroed state: carving slices from the
 	// engine-owned arena and setting non-zero sentinel fields.
 	init func(st *S, deg int, arena *sim.StateArena)
-	// output appends the node's chosen 1-based ports to dst.
-	output func(st *S, deg int, dst []int) []int
+	// output marks the node's chosen ports in its outbox window.
+	output func(st *S, buf []sim.Message)
 }
 
 // progNode drives one node through a program; the node stops when the
 // schedule is exhausted. Nodes are allocated in per-shard slabs by
-// buildProgNodes, so they are cheap values: a program pointer, two
-// ints, and the inline state struct.
+// buildProgNodes, so they are cheap values: a program pointer, an int,
+// and the inline state struct.
 type progNode[S any] struct {
 	prog *program[S]
-	deg  int
 	pc   int
 	st   S
 }
@@ -76,13 +75,12 @@ func (n *progNode[S]) Receive(round int, inbox []sim.Message) {
 
 func (n *progNode[S]) Done() bool { return n.pc >= len(n.prog.steps) }
 
-// AppendOutput implements sim.Node, writing the chosen ports straight
-// onto the engines' flat output buffer.
-func (n *progNode[S]) AppendOutput(dst []int) []int {
-	if n.prog.output == nil {
-		return dst
+// Output implements sim.Node, marking the chosen ports straight in the
+// engine's outbox window.
+func (n *progNode[S]) Output(buf []sim.Message) {
+	if n.prog.output != nil {
+		n.prog.output(&n.st, buf)
 	}
-	return n.prog.output(&n.st, n.deg, dst)
 }
 
 // buildProgNodes implements sim.Algorithm.BuildNodes for compiled
@@ -96,27 +94,30 @@ func buildProgNodes[S any](g *graph.Graph, lo, hi int, arena *sim.StateArena, no
 	var lastProg *program[S]
 	for i := range slab {
 		n := &slab[i]
-		n.deg = g.Deg(lo + i)
-		if n.deg != lastDeg {
-			lastDeg = n.deg
-			lastProg = prog(n.deg)
+		deg := g.Deg(lo + i)
+		if deg != lastDeg {
+			lastDeg = deg
+			lastProg = prog(deg)
 		}
 		n.prog = lastProg
 		if n.prog.init != nil {
-			n.prog.init(&n.st, n.deg, arena)
+			n.prog.init(&n.st, deg, arena)
 		}
 		nodes[i] = n
 	}
 }
 
-// appendChosen appends the 1-based ports whose flag is set.
-func appendChosen(dst []int, chosen []bool) []int {
+// chosenMark is the word Output writes on a chosen port; any nonzero
+// word marks one.
+const chosenMark sim.Message = 1
+
+// markChosen marks the ports whose flag is set.
+func markChosen(buf []sim.Message, chosen []bool) {
 	for idx, c := range chosen {
 		if c {
-			dst = append(dst, idx+1)
+			buf[idx] = chosenMark
 		}
 	}
-	return dst
 }
 
 // progKey identifies one compiled program: the algorithm's Name (which

@@ -67,8 +67,8 @@ func regularOddProgram(kind string, degree int, skipPruning bool) *program[pairS
 			init: func(st *pairState, deg int, arena *sim.StateArena) {
 				st.init(deg, arena)
 			},
-			output: func(st *pairState, _ int, dst []int) []int {
-				return appendChosen(dst, st.inSet)
+			output: func(st *pairState, buf []sim.Message) {
+				markChosen(buf, st.inSet)
 			},
 		}
 		p.steps = append(p.steps, labelExchangeStep(self))

@@ -44,10 +44,11 @@ func TestPortNumberingAdversaryQuick(t *testing.T) {
 		// Sweep several adversarial numberings of the same topology.
 		for trial := 0; trial < 4; trial++ {
 			h := gen.RelabelPorts(rng, g)
-			out, _, err := sim.RunToEdgeSet(h, alg)
+			res, err := sim.RunSequential(h, alg)
 			if err != nil {
 				return false
 			}
+			out := res.Outputs
 			if !verify.IsEdgeDominatingSet(h, out) {
 				return false
 			}
@@ -57,10 +58,11 @@ func TestPortNumberingAdversaryQuick(t *testing.T) {
 			}
 			// A(Δ) must hold its bound under the same numbering too.
 			gAlg := core.NewGeneral(d)
-			out2, _, err := sim.RunToEdgeSet(h, gAlg)
+			res, err = sim.RunSequential(h, gAlg)
 			if err != nil {
 				return false
 			}
+			out2 := res.Outputs
 			if !verify.IsEdgeDominatingSet(h, out2) {
 				return false
 			}

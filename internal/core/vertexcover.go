@@ -59,8 +59,8 @@ func vertexCover3Program(kind string, delta int) *program[generalState] {
 					st.eligible = append(st.eligible, idx)
 				}
 			},
-			output: func(st *generalState, _ int, dst []int) []int {
-				return appendChosen(dst, st.inP)
+			output: func(st *generalState, buf []sim.Message) {
+				markChosen(buf, st.inP)
 			},
 		}
 		for c := 0; c < delta; c++ {

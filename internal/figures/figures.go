@@ -224,7 +224,7 @@ func figure3() (*Artifact, error) {
 		return nil, err
 	}
 	for v := 0; v < c.N(); v++ {
-		if fmt.Sprint(rc.Outputs[v]) != fmt.Sprint(rm.Outputs[f[v]]) {
+		if fmt.Sprint(graph.PortsIn(c, rc.Outputs, v)) != fmt.Sprint(graph.PortsIn(m, rm.Outputs, f[v])) {
 			return nil, fmt.Errorf("outputs differ on fibre: node %d", v)
 		}
 	}
@@ -290,10 +290,11 @@ func figure4() (*Artifact, error) {
 	}
 	a.fact("ports (2i-1, 2i) decompose G into %d spanning 2-factors", d/2)
 
-	ds, _, err := sim.RunToEdgeSet(c.G, core.PortOne{})
+	res, err := sim.RunSequential(c.G, core.PortOne{})
 	if err != nil {
 		return nil, err
 	}
+	ds := res.Outputs
 	if !ds.Equal(overlays[0].Set) {
 		return nil, fmt.Errorf("PortOne output is not exactly factor G(1)")
 	}
@@ -396,10 +397,11 @@ func figure6() (*Artifact, error) {
 	}
 	a.fact("G is %d-regular on %d nodes with %d edges", d, c.G.N(), c.G.M())
 	a.fact("optimal edge dominating set D* = Y ∪ ⋃S(ℓ) has %d edges", c.Opt.Count())
-	ds, _, err := sim.RunToEdgeSet(c.G, core.RegularOdd{})
+	res, err := sim.RunSequential(c.G, core.RegularOdd{})
 	if err != nil {
 		return nil, err
 	}
+	ds := res.Outputs
 	a.fact("the Theorem 4 algorithm outputs %d edges: ratio %d/%d = 4-6/(d+1)",
 		ds.Count(), ds.Count(), c.Opt.Count())
 	opts := render.Options{
@@ -472,18 +474,20 @@ func figure8() (*Artifact, error) {
 	a.fact("(b) all nine M_G(i,j) are matchings (Lemma 2), %d memberships in total", total)
 
 	// (c)+(d) the two phases.
-	phase1, _, err := sim.RunToEdgeSet(g, core.RegularOdd{SkipPruning: true})
+	res, err := sim.RunSequential(g, core.RegularOdd{SkipPruning: true})
 	if err != nil {
 		return nil, err
 	}
+	phase1 := res.Outputs
 	if !verify.IsEdgeCover(g, phase1) || !verify.IsForest(g, phase1) {
 		return nil, fmt.Errorf("phase I output is not a spanning forest edge cover")
 	}
 	a.fact("(c) phase I builds a spanning forest that covers every node (%d edges)", phase1.Count())
-	phase2, _, err := sim.RunToEdgeSet(g, core.RegularOdd{})
+	res, err = sim.RunSequential(g, core.RegularOdd{})
 	if err != nil {
 		return nil, err
 	}
+	phase2 := res.Outputs
 	if !verify.IsStarForest(g, phase2) || !verify.IsEdgeCover(g, phase2) {
 		return nil, fmt.Errorf("phase II output is not a star-forest edge cover")
 	}

@@ -20,6 +20,16 @@ func NewEdgeSet(m int) *EdgeSet {
 	return &EdgeSet{words: make([]uint64, (m+63)/64), size: m}
 }
 
+// EdgeSetFromWords returns the edge set of a graph with m edges whose
+// bitset is words, which it adopts: bit i%64 of words[i/64] is edge i.
+// words must have (m+63)/64 entries and no bit set at or above m.
+func EdgeSetFromWords(m int, words []uint64) *EdgeSet {
+	if len(words) != (m+63)/64 || (m%64 != 0 && words[len(words)-1]>>(uint(m)%64) != 0) {
+		panic(fmt.Sprintf("graph: %d words do not form an edge set over %d edges", len(words), m))
+	}
+	return &EdgeSet{words: words, size: m}
+}
+
 // NewEdgeSetOf returns an edge set containing exactly the given indices.
 func NewEdgeSetOf(m int, indices ...int) *EdgeSet {
 	s := NewEdgeSet(m)
@@ -200,6 +210,19 @@ func DegreeIn(g *Graph, s *EdgeSet) []int {
 		return true
 	})
 	return deg
+}
+
+// PortsIn returns, in ascending order, the ports of node v whose edges
+// are in s: the set X(v) of a run whose output is s (both ports of an
+// undirected loop, if it is in s).
+func PortsIn(g *Graph, s *EdgeSet, v int) []int {
+	var out []int
+	for i := 1; i <= g.Deg(v); i++ {
+		if s.Has(g.EdgeAt(v, i)) {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // EdgeSetFromPairs builds an edge set from node pairs, resolving each pair

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -84,6 +85,50 @@ func TestEdgeSetAlgebraQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestEdgeSetFromWords(t *testing.T) {
+	words := []uint64{1 << 63, 1 << 1}
+	s := EdgeSetFromWords(66, words)
+	if s.Universe() != 66 || !s.Has(63) || !s.Has(65) || s.Count() != 2 {
+		t.Errorf("EdgeSetFromWords(66, %x) = %v over %d edges", words, s, s.Universe())
+	}
+	for _, bad := range []struct {
+		m     int
+		words []uint64
+	}{
+		{66, []uint64{0}},         // too few words
+		{64, []uint64{0, 0}},      // too many words
+		{66, []uint64{0, 1 << 2}}, // bit 66 lies outside the universe
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("EdgeSetFromWords(%d, %x) did not panic", bad.m, bad.words)
+				}
+			}()
+			EdgeSetFromWords(bad.m, bad.words)
+		}()
+	}
+}
+
+func TestPortsIn(t *testing.T) {
+	// Node 0: an undirected loop on ports 1-2, a directed loop on port
+	// 3, and an edge to node 1 on port 4.
+	b := NewBuilder(2)
+	b.MustConnect(0, 1, 0, 2)
+	b.MustConnect(0, 3, 0, 3)
+	b.MustConnect(0, 4, 1, 1)
+	g := b.MustBuild()
+	s := NewEdgeSet(g.M())
+	s.Add(g.EdgeAt(0, 1))
+	s.Add(g.EdgeAt(0, 4))
+	if got := PortsIn(g, s, 0); fmt.Sprint(got) != "[1 2 4]" {
+		t.Errorf("PortsIn(node 0) = %v, want [1 2 4]", got)
+	}
+	if got := PortsIn(g, s, 1); fmt.Sprint(got) != "[1]" {
+		t.Errorf("PortsIn(node 1) = %v, want [1]", got)
 	}
 }
 

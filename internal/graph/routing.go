@@ -43,6 +43,12 @@ func (g *Graph) PortOffsets() []int32 {
 // modify the returned slice.
 func (g *Graph) RoutingTable() []int32 { return g.route }
 
+// EdgeIndex returns the flat edge index: entry j is the index (into
+// Edges) of the edge at global port j, as EdgeAt gives it per node.
+// Both ports of an edge carry its index. The caller must not modify the
+// returned slice.
+func (g *Graph) EdgeIndex() []int32 { return g.edgeAt }
+
 // checkPortSpace fails a graph with more ports than the global port
 // numbering can index: the flat view uses int32, and offsets must not
 // wrap.

@@ -40,6 +40,9 @@ func checkRouting(t *testing.T, g *Graph) {
 			if got := route[off[v]+int32(i-1)]; got != want {
 				t.Fatalf("route for port (%d,%d) = %d, want %d (P=%v)", v, i, got, want, q)
 			}
+			if got := g.EdgeIndex()[off[v]+int32(i-1)]; int(got) != g.EdgeAt(v, i) {
+				t.Fatalf("EdgeIndex for port (%d,%d) = %d, EdgeAt says %d", v, i, got, g.EdgeAt(v, i))
+			}
 		}
 	}
 }

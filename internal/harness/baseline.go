@@ -36,10 +36,11 @@ func BaselineComparison(seed int64, n, maxDeg, trials int) (BaselineRow, error) 
 		if g.M() == 0 {
 			continue
 		}
-		d, _, err := sim.RunToEdgeSet(g, core.NewGeneral(maxDeg))
+		res, err := sim.RunSequential(g, core.NewGeneral(maxDeg))
 		if err != nil {
 			return BaselineRow{}, err
 		}
+		d := res.Outputs
 		if !verify.IsEdgeDominatingSet(g, d) {
 			return BaselineRow{}, fmt.Errorf("harness: infeasible distributed output on trial %d", t)
 		}

@@ -83,10 +83,11 @@ func RandomRegularStudy(seed int64, d, n, trials int) (StudyRow, error) {
 		if err != nil {
 			return StudyRow{}, err
 		}
-		ds, _, err := sim.RunToEdgeSet(g, alg)
+		res, err := sim.RunSequential(g, alg)
 		if err != nil {
 			return StudyRow{}, err
 		}
+		ds := res.Outputs
 		if !verify.IsEdgeDominatingSet(g, ds) {
 			return StudyRow{}, fmt.Errorf("harness: infeasible output on trial %d", t)
 		}
@@ -116,10 +117,11 @@ func RandomBoundedStudy(seed int64, delta, n, trials int) (StudyRow, error) {
 		if g.M() == 0 {
 			continue
 		}
-		ds, _, err := sim.RunToEdgeSet(g, alg)
+		res, err := sim.RunSequential(g, alg)
 		if err != nil {
 			return StudyRow{}, err
 		}
+		ds := res.Outputs
 		if !verify.IsEdgeDominatingSet(g, ds) {
 			return StudyRow{}, fmt.Errorf("harness: infeasible output on trial %d", t)
 		}

@@ -44,10 +44,11 @@ type Table1Row struct {
 // runRow executes alg on the instance and assembles a row.
 func runRow(family string, param int, g *graph.Graph, opt *graph.EdgeSet,
 	alg sim.Algorithm, scheduled int, paper ratio.R) (Table1Row, error) {
-	d, res, err := sim.RunToEdgeSet(g, alg)
+	res, err := sim.RunSequential(g, alg)
 	if err != nil {
 		return Table1Row{}, fmt.Errorf("harness: %s on %s d=%d: %w", alg.Name(), family, param, err)
 	}
+	d := res.Outputs
 	if !verify.IsEdgeDominatingSet(g, d) {
 		return Table1Row{}, fmt.Errorf("harness: %s on %s d=%d: output infeasible", alg.Name(), family, param)
 	}

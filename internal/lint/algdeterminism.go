@@ -95,7 +95,7 @@ func checkDeterminism(pass *analysis.Pass, method string, body ast.Node, msgType
 			if _, isMap := t.Underlying().(*types.Map); !isMap {
 				return true
 			}
-			if method == "SendInto" || method == "AppendOutput" || emitsFromLoop(pass, n.Body, msgType) {
+			if method == "SendInto" || method == "Output" || emitsFromLoop(pass, n.Body, msgType) {
 				pass.Reportf(n.Pos(), "map iteration order feeds message emission or port selection in %s: emitted messages would differ between runs and engines; iterate sorted keys instead", method)
 			}
 		case *ast.Ident:

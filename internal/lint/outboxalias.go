@@ -11,10 +11,11 @@ import (
 // OutboxAlias enforces the lifetime contract of the engines' flat
 // message buffers. The engines hand round hooks a zero-copy view of
 // their outbox ([][]sim.Message backed by one flat array), reuse the
-// inbox slice they pass to Receive, and hand SendInto a window into the
-// pooled flat outbox itself; all are overwritten at the next round
-// barrier, and the pooled buffers outlive the run — a retained SendInto
-// slice can alias a later, unrelated run's outbox. Any code that retains such a
+// inbox slice they pass to Receive, and hand SendInto — and Output,
+// once after the last round — a window into the pooled flat outbox
+// itself; all are overwritten at the next round barrier, and the pooled
+// buffers outlive the run — a retained SendInto or Output slice can
+// alias a later, unrelated run's outbox. Any code that retains such a
 // slice past the call observes torn, recycled data — and only on the
 // engines that reuse buffers, which is exactly the class of divergence
 // the equivalence suite can miss when the retained data is inspected
@@ -22,8 +23,8 @@ import (
 //
 // Within any function or closure that receives a []sim.Message or
 // [][]sim.Message parameter (hook callbacks, Receive implementations,
-// SendInto implementations, trace sinks), the analyzer tracks the
-// parameter and its local slice aliases and reports:
+// SendInto and Output implementations, trace sinks), the analyzer
+// tracks the parameter and its local slice aliases and reports:
 //
 //   - stores of an aliased slice into a struct field, map/slice
 //     element, package-level variable, or a variable captured from an

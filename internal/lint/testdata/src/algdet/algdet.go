@@ -68,11 +68,10 @@ func (n *badNode) Receive(round int, inbox []sim.Message) {
 
 func (n *badNode) Done() bool { return n.pc >= 2 }
 
-func (n *badNode) AppendOutput(dst []int) []int {
+func (n *badNode) Output(buf []sim.Message) {
 	for p := range n.seen { // want `map iteration order`
-		dst = append(dst, p+1)
+		buf[p] = 1
 	}
-	return dst
 }
 
 // Good is the deterministic twin: same protocol, lawful state handling.
@@ -112,11 +111,10 @@ func (n *goodNode) Receive(round int, inbox []sim.Message) {
 
 func (n *goodNode) Done() bool { return n.pc >= 2 }
 
-func (n *goodNode) AppendOutput(dst []int) []int {
+func (n *goodNode) Output(buf []sim.Message) {
 	for i, s := range n.seen {
 		if s {
-			dst = append(dst, i+1)
+			buf[i] = 1
 		}
 	}
-	return dst
 }

@@ -58,6 +58,13 @@ func (n *leakySendNode) SendInto(round int, buf []sim.Message) {
 	n.stash = buf // want `stored in a field`
 }
 
+// Output is handed the same pooled outbox window once more, after the
+// last round, to mark the node's chosen ports: stashing it is the same
+// bug.
+func (n *leakySendNode) Output(buf []sim.Message) {
+	n.stash = buf // want `stored in a field`
+}
+
 func leakySendClosure(out chan<- []sim.Message) func(round int, buf []sim.Message) {
 	return func(round int, buf []sim.Message) {
 		out <- buf // want `sent on a channel`
@@ -65,7 +72,7 @@ func leakySendClosure(out chan<- []sim.Message) func(round int, buf []sim.Messag
 }
 
 // goodSendNode writes into the buffer and keeps nothing: the whole
-// point of the SendInto contract.
+// point of the SendInto and Output contract.
 type goodSendNode struct {
 	deg int
 }
@@ -73,6 +80,12 @@ type goodSendNode struct {
 func (n *goodSendNode) SendInto(round int, buf []sim.Message) {
 	for i := 0; i < n.deg; i++ {
 		buf[i] = 0
+	}
+}
+
+func (n *goodSendNode) Output(buf []sim.Message) {
+	if n.deg > 0 {
+		buf[0] = 1
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"eds/internal/core"
+	"eds/internal/graph"
 	"eds/internal/lowerbound"
 	"eds/internal/ratio"
 	"eds/internal/sim"
@@ -17,10 +18,11 @@ import (
 func TestTheorem1Tightness(t *testing.T) {
 	for _, d := range []int{2, 4, 6, 8, 10, 12} {
 		c := lowerbound.MustEven(d)
-		got, _, err := sim.RunToEdgeSet(c.G, core.PortOne{})
+		res, err := sim.RunSequential(c.G, core.PortOne{})
 		if err != nil {
 			t.Fatalf("d=%d: %v", d, err)
 		}
+		got := res.Outputs
 		if !verify.IsEdgeDominatingSet(c.G, got) {
 			t.Fatalf("d=%d: output not an EDS", d)
 		}
@@ -42,10 +44,11 @@ func TestTheorem1Tightness(t *testing.T) {
 func TestTheorem2Tightness(t *testing.T) {
 	for _, d := range []int{1, 3, 5, 7, 9} {
 		c := lowerbound.MustOdd(d)
-		got, res, err := sim.RunToEdgeSet(c.G, core.RegularOdd{})
+		res, err := sim.RunSequential(c.G, core.RegularOdd{})
 		if err != nil {
 			t.Fatalf("d=%d: %v", d, err)
 		}
+		got := res.Outputs
 		if !verify.IsEdgeDominatingSet(c.G, got) {
 			t.Fatalf("d=%d: output not an EDS", d)
 		}
@@ -81,10 +84,11 @@ func TestCorollary1Tightness(t *testing.T) {
 		c := lowerbound.MustEven(2 * k)
 		for _, delta := range []int{2 * k, 2*k + 1} {
 			alg := core.NewGeneral(delta)
-			got, _, err := sim.RunToEdgeSet(c.G, alg)
+			res, err := sim.RunSequential(c.G, alg)
 			if err != nil {
 				t.Fatalf("k=%d Δ=%d: %v", k, delta, err)
 			}
+			got := res.Outputs
 			if !verify.IsEdgeDominatingSet(c.G, got) {
 				t.Fatalf("k=%d Δ=%d: output not an EDS", k, delta)
 			}
@@ -127,9 +131,9 @@ func checkFibres(t *testing.T, c *lowerbound.Construction, alg sim.Algorithm) {
 		t.Fatalf("run on quotient: %v", err)
 	}
 	for v := 0; v < c.G.N(); v++ {
-		if !reflect.DeepEqual(rg.Outputs[v], rq.Outputs[c.Map[v]]) {
-			t.Fatalf("node %d outputs %v but its quotient image %d outputs %v",
-				v, rg.Outputs[v], c.Map[v], rq.Outputs[c.Map[v]])
+		xg, xq := graph.PortsIn(c.G, rg.Outputs, v), graph.PortsIn(c.Quotient, rq.Outputs, c.Map[v])
+		if !reflect.DeepEqual(xg, xq) {
+			t.Fatalf("node %d outputs %v but its quotient image %d outputs %v", v, xg, c.Map[v], xq)
 		}
 	}
 }
@@ -147,10 +151,11 @@ func TestAnyAlgorithmForcedOnEven(t *testing.T) {
 		core.NewGeneral(9), // even with slack, the bound is forced
 	}
 	for _, alg := range algs {
-		got, _, err := sim.RunToEdgeSet(c.G, alg)
+		res, err := sim.RunSequential(c.G, alg)
 		if err != nil {
 			t.Fatalf("%s: %v", alg.Name(), err)
 		}
+		got := res.Outputs
 		if !verify.IsEdgeDominatingSet(c.G, got) {
 			t.Fatalf("%s: not an EDS", alg.Name())
 		}

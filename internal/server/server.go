@@ -686,10 +686,7 @@ func (s *Server) leadRun(ctx context.Context, w http.ResponseWriter, req runRequ
 }
 
 func buildResponse(g *graph.Graph, algName string, bound *ratio.R, res *sim.Result, includeEdges bool) ([]byte, error) {
-	d, err := sim.EdgeSet(g, res.Outputs)
-	if err != nil {
-		return nil, fmt.Errorf("collecting edge set: %w", err)
-	}
+	d := res.Outputs
 	resp := RunResponse{
 		Algorithm:  algName,
 		N:          g.N(),

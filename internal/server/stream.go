@@ -60,11 +60,7 @@ func (s *Server) streamRun(ctx context.Context, w http.ResponseWriter, req runRe
 	s.st.recordLatency(alg.Name(), time.Since(start))
 	s.st.recordPhases(split)
 
-	d, err := sim.EdgeSet(g, res.Outputs)
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "collecting edge set: %v", err)
-		return
-	}
+	d := res.Outputs
 	summary := RunResponse{
 		Algorithm:  alg.Name(),
 		N:          g.N(),

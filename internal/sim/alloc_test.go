@@ -40,7 +40,7 @@ type spinNode struct{ left int }
 func (n *spinNode) SendInto(round int, buf []sim.Message)  {}
 func (n *spinNode) Receive(round int, inbox []sim.Message) { n.left-- }
 func (n *spinNode) Done() bool                             { return n.left <= 0 }
-func (n *spinNode) AppendOutput(dst []int) []int           { return dst }
+func (n *spinNode) Output(buf []sim.Message)               {}
 
 // disableGC turns the collector off for the duration of a measurement so
 // sync.Pool contents survive and allocation counts are deterministic.

@@ -1,12 +1,12 @@
 // Delivery contract suite: messages are delivered at send time into the
 // partner's inbox slot, and the next send phase sets back to 0 only the
 // slots it listed. These tests pin what that must preserve — every
-// SendInto window arrives all-zero, every inbox holds exactly this
-// round's messages and nothing stale, a silent round delivers nothing —
-// on sparse, round-dependent send patterns over the whole equivalence
-// corpus, and across pooled runs that stopped mid-schedule. The dense
-// reference loop (sim.RunReference), which allocates fresh buffers
-// every round, is the oracle.
+// SendInto and Output window arrives all-zero, every inbox holds exactly
+// this round's messages and nothing stale, a silent round delivers
+// nothing — on sparse, round-dependent send patterns over the whole
+// equivalence corpus, and across pooled runs that stopped mid-schedule.
+// The dense reference loop (sim.RunReference), which allocates fresh
+// buffers every round, is the oracle.
 package sim_test
 
 import (
@@ -103,8 +103,19 @@ func (n *sparseNode) Receive(round int, inbox []sim.Message) {
 	n.round++
 }
 
-func (n *sparseNode) Done() bool                   { return n.round >= n.stop }
-func (n *sparseNode) AppendOutput(dst []int) []int { return dst }
+func (n *sparseNode) Done() bool { return n.round >= n.stop }
+
+// Output checks that the window arrives all-zero, as SendInto's do —
+// the last round's messages must not read as chosen ports — and
+// chooses every port.
+func (n *sparseNode) Output(buf []sim.Message) {
+	for i, m := range buf {
+		if m != 0 {
+			n.rec.violate("Output window slot %d arrived holding %v", i, m)
+		}
+		buf[i] = 1
+	}
+}
 
 // deliveryEngines are the engine configurations: the sequential engine
 // and the sharded engine at P ∈ {1, 2, NumCPU, n}.
@@ -189,7 +200,7 @@ func (n noisyNode) SendInto(round int, buf []sim.Message) {
 }
 func (noisyNode) Receive(round int, inbox []sim.Message) {}
 func (noisyNode) Done() bool                             { return false }
-func (noisyNode) AppendOutput(dst []int) []int           { return dst }
+func (noisyNode) Output(buf []sim.Message)               {}
 
 // TestPooledStateAfterAbortedRun stops a run mid-schedule with messages
 // in flight — by the round limit or a cancellation — and then reuses

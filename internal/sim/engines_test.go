@@ -58,8 +58,8 @@ func algorithmsFor(g *graph.Graph) []sim.Algorithm {
 }
 
 // TestCrossEngineEquivalence runs every algorithm on every corpus graph
-// with both engines and demands the reference's Outputs, Rounds and
-// Messages — or its error.
+// with both engines and demands the reference's edge set (edge for
+// edge), Rounds and Messages — or its error.
 func TestCrossEngineEquivalence(t *testing.T) {
 	for _, ng := range gen.EquivalenceCorpus() {
 		for _, alg := range algorithmsFor(ng.G) {
@@ -76,8 +76,8 @@ func TestCrossEngineEquivalence(t *testing.T) {
 						}
 						continue
 					}
-					if !reflect.DeepEqual(res.Outputs, ref.Outputs) {
-						t.Errorf("%s: Outputs diverge from the reference", e.name)
+					if !res.Outputs.Equal(ref.Outputs) {
+						t.Errorf("%s: edge set %v, reference %v", e.name, res.Outputs, ref.Outputs)
 					}
 					if res.Rounds != ref.Rounds {
 						t.Errorf("%s: Rounds = %d, reference %d", e.name, res.Rounds, ref.Rounds)
@@ -108,7 +108,7 @@ func TestShardCountInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sharded %s shards=%d: %v", alg.Name(), p, err)
 			}
-			if !reflect.DeepEqual(res.Outputs, ref.Outputs) ||
+			if !res.Outputs.Equal(ref.Outputs) ||
 				res.Rounds != ref.Rounds || res.Messages != ref.Messages {
 				t.Errorf("%s: shards=%d diverges from sequential", alg.Name(), p)
 			}
@@ -192,7 +192,7 @@ func (n cancelSendNode) SendInto(round int, buf []sim.Message) {
 }
 func (cancelSendNode) Receive(round int, inbox []sim.Message) {}
 func (cancelSendNode) Done() bool                             { return false }
-func (cancelSendNode) AppendOutput(dst []int) []int           { return dst }
+func (cancelSendNode) Output(buf []sim.Message)               {}
 
 // awaitBaselineGoroutines waits for the goroutine count to return to the
 // pre-run baseline, failing the test if it does not: a canceled engine
@@ -313,12 +313,12 @@ type stuckNode struct{}
 func (stuckNode) SendInto(round int, buf []sim.Message)  {}
 func (stuckNode) Receive(round int, inbox []sim.Message) {}
 func (stuckNode) Done() bool                             { return false }
-func (stuckNode) AppendOutput(dst []int) []int           { return dst }
+func (stuckNode) Output(buf []sim.Message)               {}
 
 // faultyAlg fails on the nodes in bad, and only there, in one of two
 // ways: with nilNodes BuildNodes leaves them nil, otherwise they stop at
-// once and output port 99. Every other node stops at once with no
-// output.
+// once and choose port 1 alone, which their port-1 neighbour does not
+// choose back. Every other node stops at once with no output.
 type faultyAlg struct {
 	bad      map[int]bool
 	nilNodes bool
@@ -328,7 +328,7 @@ func (a faultyAlg) Name() string {
 	if a.nilNodes {
 		return "nil-node"
 	}
-	return "bad-output"
+	return "inconsistent-output"
 }
 
 func (a faultyAlg) BuildNodes(g *graph.Graph, lo, hi int, _ *sim.StateArena, nodes []sim.Node) {
@@ -336,29 +336,28 @@ func (a faultyAlg) BuildNodes(g *graph.Graph, lo, hi int, _ *sim.StateArena, nod
 		if !a.bad[v] {
 			nodes[v-lo] = faultyNode{}
 		} else if !a.nilNodes {
-			nodes[v-lo] = faultyNode{port: 99}
+			nodes[v-lo] = faultyNode{port: 1}
 		}
 	}
 }
 
-// faultyNode is born done and outputs port, if nonzero.
+// faultyNode is born done and chooses port, if nonzero.
 type faultyNode struct{ port int }
 
 func (faultyNode) SendInto(round int, buf []sim.Message)  {}
 func (faultyNode) Receive(round int, inbox []sim.Message) {}
 func (faultyNode) Done() bool                             { return true }
-func (n faultyNode) AppendOutput(dst []int) []int {
+func (n faultyNode) Output(buf []sim.Message) {
 	if n.port != 0 {
-		dst = append(dst, n.port)
+		buf[n.port-1] = 1
 	}
-	return dst
 }
 
 // TestEngineErrorParity checks that the failure modes surface
 // identically from every engine and shard count: the round budget as
-// ErrRoundLimit, and a node that BuildNodes left nil or that outputs an
-// invalid port as one error naming the lowest offending node — never a
-// panic.
+// ErrRoundLimit, a node that BuildNodes left nil as one error naming the
+// lowest such node, and an inconsistent output as one error naming the
+// lowest chosen port whose partner is not chosen — never a panic.
 func TestEngineErrorParity(t *testing.T) {
 	t.Run("RoundLimit", func(t *testing.T) {
 		g := gen.Cycle(6)
@@ -378,7 +377,8 @@ func TestEngineErrorParity(t *testing.T) {
 	})
 	// Each case has two bad nodes, one in each half of the cycle: at
 	// P = 2 and P = n they land in different shards, and the lower one
-	// must win.
+	// must win. On the cycle, port 1 of node v > 0 leads to port 2 of
+	// node v-1.
 	g := gen.Cycle(64)
 	runs := []engine{{"reference", sim.RunReference}, {"sequential", sim.RunSequential}}
 	for _, p := range []int{1, 2, g.N()} {
@@ -395,8 +395,8 @@ func TestEngineErrorParity(t *testing.T) {
 	}{
 		{"NilNode", faultyAlg{bad: map[int]bool{17: true, 41: true}, nilNodes: true},
 			`sim: algorithm "nil-node": BuildNodes left node 17 nil`},
-		{"InvalidOutputPort", faultyAlg{bad: map[int]bool{23: true, 57: true}},
-			`sim: algorithm "bad-output": node 23 output invalid port 99`},
+		{"InconsistentOutput", faultyAlg{bad: map[int]bool{23: true, 57: true}},
+			`sim: inconsistent output: 1 ∈ X(23) but 2 ∉ X(22)`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, e := range runs {

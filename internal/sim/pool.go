@@ -60,7 +60,7 @@ type runState struct {
 type shardStat struct {
 	sent    int   // nonzero messages this round, the delivery list's length
 	pending int   // nodes not yet retired
-	err     error // first nil node or invalid output (lowest node in shard)
+	err     error // first nil node or inconsistent port (lowest in shard)
 }
 
 var statePool = sync.Pool{New: func() any { return new(runState) }}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"eds/internal/graph"
 )
@@ -11,7 +10,8 @@ import (
 // Section 2.2 as a dense loop with nothing to go stale. Every round it
 // allocates a fresh outbox and inbox, asks every live node for all of
 // its ports, and routes every port through the involution g.P — no
-// pool, no delivery list, no shard. It polls the context and the round
+// pool, no delivery list, no shard — and checks and collects the
+// outputs port by port. It polls the context and the round
 // budget at the same points as the engines and builds the same errors,
 // so it can stand in the engine lists of the parity suites.
 func RunReference(g *graph.Graph, a Algorithm, opts ...Option) (*Result, error) {
@@ -73,20 +73,35 @@ func RunReference(g *graph.Graph, a Algorithm, opts ...Option) (*Result, error) 
 			done[v] = node.Done()
 		}
 	}
-	res.Outputs = make([][]int, n)
+	// The output check is a different algorithm from the engines'
+	// one-pass epilogue, so the suites hold that pass to an independent
+	// one: read X(v) off a fresh buffer per node, mark every chosen
+	// port, check each one's partner through g.P, then add each chosen
+	// port's edge.
+	outputs := make([][]int, n)
+	chosen := make([][]bool, n)
 	for v, node := range nodes {
-		out := node.AppendOutput(nil)
-		sort.Ints(out)
-		for k, p := range out {
-			if p < 1 || p > g.Deg(v) {
-				return nil, fmt.Errorf("sim: algorithm %q: node %d output invalid port %d", a.Name(), v, p)
-			}
-			if k > 0 && out[k-1] == p {
-				return nil, fmt.Errorf("sim: algorithm %q: node %d output duplicate port %d", a.Name(), v, p)
+		buf := make([]Message, g.Deg(v))
+		node.Output(buf)
+		chosen[v] = make([]bool, g.Deg(v))
+		for i, m := range buf {
+			if m != 0 {
+				outputs[v] = append(outputs[v], i+1)
+				chosen[v][i] = true
 			}
 		}
-		if len(out) > 0 {
-			res.Outputs[v] = out
+	}
+	for v, out := range outputs {
+		for _, i := range out {
+			if q := g.P(v, i); !chosen[q.Node][q.Num-1] {
+				return nil, fmt.Errorf("sim: inconsistent output: %d ∈ X(%d) but %d ∉ X(%d)", i, v, q.Num, q.Node)
+			}
+		}
+	}
+	res.Outputs = graph.NewEdgeSet(g.M())
+	for v, out := range outputs {
+		for _, i := range out {
+			res.Outputs.Add(g.EdgeAt(v, i))
 		}
 	}
 	return res, nil

@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"sort"
+	"sync/atomic"
 
 	"eds/internal/graph"
 )
@@ -53,8 +55,8 @@ func RunAuto(g *graph.Graph, a Algorithm, opts ...Option) (*Result, error) {
 	return RunSequential(g, a, opts...)
 }
 
-// Engines returns the named engine entry points, the single registry the
-// harness studies and tooling resolve engine names against.
+// Engines returns the named engine entry points, the single registry
+// edsd and tooling resolve engine names against.
 func Engines() map[string]func(*graph.Graph, Algorithm, ...Option) (*Result, error) {
 	return map[string]func(*graph.Graph, Algorithm, ...Option) (*Result, error){
 		"sequential": RunSequential,
@@ -78,6 +80,7 @@ const (
 	phaseSend
 	phaseRecv
 	phaseOutput
+	phaseEdges
 )
 
 // shardedRun is the per-run coordination of the round loop shared by
@@ -89,14 +92,15 @@ const (
 // parked on the work channel; the channel send/receive pair orders
 // those writes before the workers' reads.
 type shardedRun struct {
-	st      *runState
-	g       *graph.Graph
-	a       Algorithm
-	off     []int32
-	route   []int32
-	p       int
-	round   int
-	outputs [][]int // phaseOutput destination, set before the barrier
+	st     *runState
+	g      *graph.Graph
+	a      Algorithm
+	off    []int32
+	route  []int32
+	edgeAt []int32
+	p      int
+	round  int
+	words  []uint64 // D's bitset, filled by phaseEdges
 }
 
 // worker is one shard's loop. It exits on phaseStop, signalling idle
@@ -127,6 +131,8 @@ func (r *shardedRun) runPhase(s, phase int) {
 		r.recvPhase(s, lo, hi)
 	case phaseOutput:
 		r.outputPhase(s, lo, hi)
+	case phaseEdges:
+		r.edgesPhase(s, lo, hi)
 	}
 }
 
@@ -182,14 +188,66 @@ func (r *shardedRun) initPhase(s, lo, hi int) {
 	st.stats[s].pending = pending
 }
 
-// outputPhase collects, sorts, and validates the shard's node outputs
-// into the coordinator's outputs slice. Ranges are disjoint and each
-// call appends to its own flat buffer, so the epilogue parallelizes
-// like the prologue.
+// outputPhase sets the slots the shard's last send phase filled back
+// to 0, which leaves its whole outbox range zero, and hands every node
+// its outbox window once more: Output marks X(v) there.
 func (r *shardedRun) outputPhase(s, lo, hi int) {
-	if err := collectOutputsRange(r.g, r.a, r.st.nodes, lo, hi, r.outputs); err != nil {
-		r.st.stats[s].err = err
+	st := r.st
+	for _, j := range st.delivered[r.off[lo]:][:st.stats[s].sent] {
+		st.outbox[j] = 0
 	}
+	for v := lo; v < hi; v++ {
+		st.nodes[v].Output(st.outbox[r.off[v]:r.off[v+1]:r.off[v+1]])
+	}
+}
+
+// edgesPhase checks the shard's marks and adds its edges to D, reading
+// its global ports once in ascending order. The lowest marked port j
+// whose partner route[j] is unmarked fails the run; every other marked
+// j that is its edge's canonical end (route[j] >= j, Edge.A) sets bit
+// edgeAt[j]. Edges are numbered in the order of their A ends, so the
+// shard's bits rise: they gather in one word at a time, and each word
+// is flushed with one atomic OR, because the first and last words of a
+// shard's run may be shared with its neighbours. Partner slots may be
+// other shards': the output phase's barrier has passed, so they are
+// only read.
+func (r *shardedRun) edgesPhase(s, lo, hi int) {
+	out := r.st.outbox
+	wi, w := -1, uint64(0)
+	for j := r.off[lo]; j < r.off[hi]; j++ {
+		if out[j] == 0 {
+			continue
+		}
+		p := r.route[j]
+		if out[p] == 0 {
+			r.st.stats[s].err = inconsistentOutput(r.g, int(j))
+			return
+		}
+		if p >= j {
+			e := int(r.edgeAt[j])
+			if e>>6 != wi {
+				if w != 0 {
+					atomic.OrUint64(&r.words[wi], w)
+				}
+				wi, w = e>>6, 0
+			}
+			w |= 1 << (e & 63)
+		}
+	}
+	if w != 0 {
+		atomic.OrUint64(&r.words[wi], w)
+	}
+}
+
+// inconsistentOutput is the error for a run whose global port j is
+// marked while its partner is not: the paper requires i ∈ X(v) to
+// imply j' ∈ X(u) whenever p(v, i) = (u, j').
+func inconsistentOutput(g *graph.Graph, j int) error {
+	off := g.PortOffsets()
+	v := sort.Search(g.N(), func(v int) bool { return int(off[v+1]) > j })
+	i := j - int(off[v]) + 1
+	q := g.P(v, i)
+	return fmt.Errorf("sim: inconsistent output: %d ∈ X(%d) but %d ∉ X(%d)", i, v, q.Num, q.Node)
 }
 
 // sendPhase first sets the slots the shard delivered in the previous
@@ -261,7 +319,9 @@ func (r *shardedRun) recvPhase(s, lo, hi int) {
 // O(ports), outside the nodes themselves. The prologue and epilogue
 // are parallel too: each shard's nodes are built by that shard's
 // worker (Algorithm.BuildNodes) from a per-shard StateArena, and each
-// shard collects and validates its own outputs.
+// shard has its nodes mark their outputs in their outbox windows
+// (Node.Output), then checks its own port range and sets its edges of
+// D in one pass.
 //
 // All buffers come from a pooled runState and the P workers persist
 // for the whole run, so a steady-state round performs zero allocations:
@@ -304,7 +364,7 @@ func runShards(g *graph.Graph, a Algorithm, p int, c *config) (*Result, error) {
 	defer st.release()
 	shardBounds(st.bounds, g.PortOffsets(), n, p)
 
-	r := &shardedRun{st: st, g: g, a: a, off: g.PortOffsets(), route: g.RoutingTable(), p: p}
+	r := &shardedRun{st: st, g: g, a: a, off: g.PortOffsets(), route: g.RoutingTable(), edgeAt: g.EdgeIndex(), p: p}
 	if p > 1 {
 		for s := 0; s < p; s++ {
 			go r.worker(s)
@@ -355,15 +415,17 @@ func runShards(g *graph.Graph, a Algorithm, p int, c *config) (*Result, error) {
 	}
 	clk.tickRounds()
 
-	// Parallel epilogue: every shard collects and validates its own
-	// output range; shardErr reports the first per-shard error in shard
-	// order (lowest bad node wins, whatever the shard count).
-	r.outputs = make([][]int, n)
+	// Parallel epilogue: every shard has its nodes mark their outputs,
+	// then checks its own port range and sets its edges of D; shardErr
+	// reports the first per-shard error in shard order (lowest bad port
+	// wins, whatever the shard count).
+	r.words = make([]uint64, (g.M()+63)/64)
 	r.barrier(phaseOutput)
+	r.barrier(phaseEdges)
 	if err := r.shardErr(); err != nil {
 		return nil, err
 	}
-	res.Outputs = r.outputs
+	res.Outputs = graph.EdgeSetFromWords(g.M(), r.words)
 	clk.tickOutputs()
 	return res, nil
 }

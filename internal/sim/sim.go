@@ -31,13 +31,18 @@
 // engine calls SendInto or Receive on a retired node, so
 // mixed-termination schedules (e.g. degree-dependent scripts on
 // irregular graphs) execute identically everywhere.
+//
+// A run's output is the edge set D of the paper. After the last round
+// every node marks its chosen ports X(v) in its outbox window
+// (Node.Output), and one flat pass over the global ports checks that
+// the marks agree across every edge and sets D's bits; Result.Outputs
+// carries D.
 package sim
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"eds/internal/graph"
@@ -56,7 +61,7 @@ type Message uint64
 // Node is the state machine one node runs. Every round the engine
 // calls SendInto, then delivers the round's incoming messages via
 // Receive, then polls Done. Once Done reports true the node is never
-// called again except for one AppendOutput.
+// called again until the run's one call of Output.
 type Node interface {
 	// SendInto writes the round's outgoing message for each port into
 	// buf (index 0 is port 1). buf has exactly one entry per port and
@@ -72,10 +77,15 @@ type Node interface {
 	Receive(round int, inbox []Message)
 	// Done reports whether the node has stopped.
 	Done() bool
-	// AppendOutput appends the node's chosen ports (the set X(v) of the
-	// paper, 1-based port numbers, in any order) to dst and returns the
-	// extended slice. The engine calls it once, after Done is true.
-	AppendOutput(dst []int) []int
+	// Output marks the node's chosen ports, the set X(v) of the paper:
+	// it writes a nonzero word into buf[i-1] for each chosen port i and
+	// leaves the other entries 0. buf has exactly one entry per port and
+	// arrives all-zero; it is the node's outbox window once more, under
+	// SendInto's rule: never retain it. The engine calls Output once,
+	// after the last node is done, and fails the run if some chosen
+	// port's partner port is not chosen (the paper's consistency
+	// condition).
+	Output(buf []Message)
 }
 
 // Algorithm builds the node state machines of a run. In the
@@ -107,8 +117,10 @@ type Algorithm interface {
 
 // Result summarises one execution.
 type Result struct {
-	// Outputs[v] is the sorted set of ports chosen by node v.
-	Outputs [][]int
+	// Outputs is the run's output D: the edges whose ports the nodes
+	// chose (Node.Output), a set over g's edges. graph.PortsIn recovers
+	// one node's X(v) from it.
+	Outputs *graph.EdgeSet
 	// Rounds is the number of communication rounds until every node
 	// stopped.
 	Rounds int
@@ -174,8 +186,9 @@ func WithRoundHook(fn func(round int, sent [][]Message)) Option {
 
 // Timings is the wall-clock split of one run, filled in by WithTimings:
 // Setup covers run-state acquisition and node construction, Rounds the
-// round loop, Outputs the collection and validation of the per-node
-// port sets. On an error exit only the phases that completed are set.
+// round loop, Outputs the epilogue that has every node mark its chosen
+// ports and builds the edge set D from them, checking their
+// consistency. On an error exit only the phases that completed are set.
 type Timings struct {
 	Setup   time.Duration
 	Rounds  time.Duration
@@ -263,106 +276,12 @@ func RunSequential(g *graph.Graph, a Algorithm, opts ...Option) (*Result, error)
 	return runShards(g, a, 1, &c)
 }
 
-// collectOutputsRange gathers, sorts, and validates the port sets of
-// the node range [lo, hi), filling outputs[lo:hi]. Every node appends
-// its ports onto one freshly allocated flat buffer and each node's row
-// becomes a capped subslice, so collection costs O(1) allocations per
-// range instead of one per node. The buffer is sized once to the
-// range's port count, which bounds every valid output, so it never
-// regrows unless an output is invalid. Rows may alias the shared buffer
-// but never each other, and a node with no output keeps a nil row, so
-// Results stay byte-identical (reflect.DeepEqual) no matter which
-// engine or shard count produced them. The first invalid node in
-// ascending order wins the error; safe for concurrent calls on disjoint
-// ranges because the buffer is call-local and outputs rows are
-// per-node.
-func collectOutputsRange(g *graph.Graph, a Algorithm, nodes []Node, lo, hi int, outputs [][]int) error {
-	off := g.PortOffsets()
-	flat := make([]int, 0, off[hi]-off[lo])
-	ends := make([]int, hi-lo)
-	for v := lo; v < hi; v++ {
-		start := len(flat)
-		flat = nodes[v].AppendOutput(flat)
-		row := flat[start:]
-		sort.Ints(row)
-		for k, p := range row {
-			if p < 1 || p > g.Deg(v) {
-				return fmt.Errorf("sim: algorithm %q: node %d output invalid port %d", a.Name(), v, p)
-			}
-			if k > 0 && row[k-1] == p {
-				return fmt.Errorf("sim: algorithm %q: node %d output duplicate port %d", a.Name(), v, p)
-			}
-		}
-		ends[v-lo] = len(flat)
+// EdgeSet returns a run's edge set d (Result.Outputs), after checking
+// that d is a set over g's edges. The engine builds and checks D itself,
+// so this is only the check that d belongs to g.
+func EdgeSet(g *graph.Graph, d *graph.EdgeSet) (*graph.EdgeSet, error) {
+	if d.Universe() != g.M() {
+		return nil, fmt.Errorf("sim: edge set over %d edges for a graph with %d", d.Universe(), g.M())
 	}
-	// Subslice only after every append: the buffer no longer moves.
-	start := 0
-	for i, end := range ends {
-		if end > start {
-			outputs[lo+i] = flat[start:end:end]
-		}
-		start = end
-	}
-	return nil
-}
-
-// CheckConsistency verifies the paper's output well-formedness condition:
-// if i ∈ X(v) and p(v,i) = (u,j) then j ∈ X(u). outputs must hold one
-// row per node and every port must lie in [1, deg(v)]; anything else is
-// an error. The chosen ports are marked in one flat slice over the
-// graph's global port space (graph.PortOffsets), and each partner is
-// looked up through the routing table.
-func CheckConsistency(g *graph.Graph, outputs [][]int) error {
-	if len(outputs) != g.N() {
-		return fmt.Errorf("sim: %d output rows for %d nodes", len(outputs), g.N())
-	}
-	off := g.PortOffsets()
-	route := g.RoutingTable()
-	chosen := make([]bool, len(route))
-	for v, out := range outputs {
-		deg := int(off[v+1] - off[v])
-		for _, i := range out {
-			if i < 1 || i > deg {
-				return fmt.Errorf("sim: node %d output invalid port %d", v, i)
-			}
-			chosen[int(off[v])+i-1] = true
-		}
-	}
-	for v, out := range outputs {
-		for _, i := range out {
-			if !chosen[route[int(off[v])+i-1]] {
-				q := g.P(v, i)
-				return fmt.Errorf("sim: inconsistent output: %d ∈ X(%d) but %d ∉ X(%d)", i, v, q.Num, q.Node)
-			}
-		}
-	}
-	return nil
-}
-
-// EdgeSet converts consistent outputs into the selected edge set D.
-func EdgeSet(g *graph.Graph, outputs [][]int) (*graph.EdgeSet, error) {
-	if err := CheckConsistency(g, outputs); err != nil {
-		return nil, err
-	}
-	s := graph.NewEdgeSet(g.M())
-	for v, out := range outputs {
-		for _, i := range out {
-			s.Add(g.EdgeAt(v, i))
-		}
-	}
-	return s, nil
-}
-
-// RunToEdgeSet runs the algorithm sequentially and returns the selected
-// edge set together with the execution statistics.
-func RunToEdgeSet(g *graph.Graph, a Algorithm, opts ...Option) (*graph.EdgeSet, *Result, error) {
-	res, err := RunSequential(g, a, opts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	s, err := EdgeSet(g, res.Outputs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, res, nil
+	return d, nil
 }

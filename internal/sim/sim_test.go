@@ -47,8 +47,12 @@ func (n *markNode) Receive(round int, inbox []Message) {
 	n.done = true
 }
 
-func (n *markNode) Done() bool                   { return n.done }
-func (n *markNode) AppendOutput(dst []int) []int { return append(dst, n.out...) }
+func (n *markNode) Done() bool { return n.done }
+func (n *markNode) Output(buf []Message) {
+	for _, i := range n.out {
+		buf[i-1] = mark
+	}
+}
 
 // sumAlg runs `rounds` rounds, each node broadcasting a running sum seeded
 // with its degree; the output is empty. It exercises multi-round routing.
@@ -76,8 +80,8 @@ func (n *sumNode) Receive(round int, inbox []Message) {
 	n.left--
 }
 
-func (n *sumNode) Done() bool                   { return n.left <= 0 }
-func (n *sumNode) AppendOutput(dst []int) []int { return dst }
+func (n *sumNode) Done() bool           { return n.left <= 0 }
+func (n *sumNode) Output(buf []Message) {}
 
 // neverAlg never terminates.
 type neverAlg struct{}
@@ -92,22 +96,42 @@ type neverNode struct{}
 func (neverNode) SendInto(round int, buf []Message)  {}
 func (neverNode) Receive(round int, inbox []Message) {}
 func (neverNode) Done() bool                         { return false }
-func (neverNode) AppendOutput(dst []int) []int       { return dst }
+func (neverNode) Output(buf []Message)               {}
 
-// badPortAlg outputs an out-of-range port.
-type badPortAlg struct{}
+// fixedAlg's nodes are born done and choose the fixed port sets x[v].
+// Each node also records the windows Output hands it.
+type fixedAlg struct{ nodes []*fixedNode }
 
-func (badPortAlg) Name() string { return "bad-port" }
-func (badPortAlg) BuildNodes(g *graph.Graph, lo, hi int, _ *StateArena, nodes []Node) {
-	BuildEach(g, lo, nodes, func(degree int) Node { return badPortNode{deg: degree} })
+func newFixedAlg(x [][]int) fixedAlg {
+	a := fixedAlg{nodes: make([]*fixedNode, len(x))}
+	for v := range x {
+		a.nodes[v] = &fixedNode{x: x[v]}
+	}
+	return a
 }
 
-type badPortNode struct{ deg int }
+func (fixedAlg) Name() string { return "fixed-output" }
+func (a fixedAlg) BuildNodes(g *graph.Graph, lo, hi int, _ *StateArena, nodes []Node) {
+	for i := range nodes {
+		nodes[i] = a.nodes[lo+i]
+	}
+}
 
-func (badPortNode) SendInto(round int, buf []Message)  {}
-func (badPortNode) Receive(round int, inbox []Message) {}
-func (badPortNode) Done() bool                         { return true }
-func (n badPortNode) AppendOutput(dst []int) []int     { return append(dst, n.deg+1) }
+type fixedNode struct {
+	x             []int
+	calls, ln, cp int
+}
+
+func (*fixedNode) SendInto(round int, buf []Message)  {}
+func (*fixedNode) Receive(round int, inbox []Message) {}
+func (*fixedNode) Done() bool                         { return true }
+func (n *fixedNode) Output(buf []Message) {
+	n.calls++
+	n.ln, n.cp = len(buf), cap(buf)
+	for _, i := range n.x {
+		buf[i-1] = 1
+	}
+}
 
 func TestMarkAlgOnCycle(t *testing.T) {
 	g := gen.Cycle(5)
@@ -117,9 +141,6 @@ func TestMarkAlgOnCycle(t *testing.T) {
 	}
 	if res.Rounds != 1 {
 		t.Errorf("Rounds = %d, want 1", res.Rounds)
-	}
-	if err := CheckConsistency(g, res.Outputs); err != nil {
-		t.Fatalf("CheckConsistency: %v", err)
 	}
 	d, err := EdgeSet(g, res.Outputs)
 	if err != nil {
@@ -213,7 +234,7 @@ func (n *varNode) SendInto(round int, buf []Message) {
 
 func (n *varNode) Receive(round int, inbox []Message) { n.left-- }
 func (n *varNode) Done() bool                         { return n.left <= 0 }
-func (n *varNode) AppendOutput(dst []int) []int       { return dst }
+func (n *varNode) Output(buf []Message)               {}
 
 func TestHeterogeneousTermination(t *testing.T) {
 	// Star K_{1,4}: the centre runs 4 rounds, the leaves one round each.
@@ -266,9 +287,8 @@ func TestCoveringMapLemma(t *testing.T) {
 			t.Fatalf("run on base: %v", err)
 		}
 		for v := 0; v < 6; v++ {
-			if !reflect.DeepEqual(rh.Outputs[v], rg.Outputs[0]) {
-				t.Errorf("%s: output of covering node %d = %v, image outputs %v",
-					alg.Name(), v, rh.Outputs[v], rg.Outputs[0])
+			if xh, xg := graph.PortsIn(h, rh.Outputs, v), graph.PortsIn(g, rg.Outputs, 0); !reflect.DeepEqual(xh, xg) {
+				t.Errorf("%s: output of covering node %d = %v, image outputs %v", alg.Name(), v, xh, xg)
 			}
 		}
 	}
@@ -284,46 +304,68 @@ func TestRoundLimit(t *testing.T) {
 	}
 }
 
-func TestInvalidOutputRejected(t *testing.T) {
-	g := gen.Cycle(4)
-	if _, err := RunSequential(g, badPortAlg{}); err == nil {
-		t.Error("out-of-range output accepted")
-	}
-}
-
-func TestCheckConsistencyRejects(t *testing.T) {
-	g := gen.Path(2) // single edge, ports (0,1)-(1,1)
-	if err := CheckConsistency(g, [][]int{{1}, {}}); err == nil {
-		t.Error("one-sided output accepted")
-	}
-	if err := CheckConsistency(g, [][]int{{1}, {1}}); err != nil {
-		t.Errorf("consistent output rejected: %v", err)
-	}
-	for _, bad := range [][][]int{{{0}, {}}, {{2}, {}}, {{1}, {-1}}} {
-		if err := CheckConsistency(g, bad); err == nil {
-			t.Errorf("out-of-range port accepted: %v", bad)
-		}
-	}
-	for _, bad := range [][][]int{{{1}}, {{1}, {1}, {}}, nil} {
-		if err := CheckConsistency(g, bad); err == nil {
-			t.Errorf("outputs with %d rows for %d nodes accepted", len(bad), g.N())
-		}
-	}
-
+// TestInconsistentOutputRejected runs test algorithms with fixed
+// outputs on every engine: an output is accepted exactly when every
+// chosen port's partner is chosen too (the paper's consistency
+// condition, loops included), D is then the set of chosen edges, and
+// the error names the lowest chosen port whose partner is not chosen.
+// Out-of-range ports and a wrong number of output rows cannot be
+// expressed: each node gets exactly one window, of its own degree.
+func TestInconsistentOutputRejected(t *testing.T) {
+	path := gen.Path(2) // single edge, ports (0,1)-(1,1)
 	// One node with a directed loop (port 1 is its own partner) and an
 	// undirected loop (ports 2 and 3 are each other's partners).
 	b := graph.NewBuilder(1)
 	b.MustConnect(0, 1, 0, 1)
 	b.MustConnect(0, 2, 0, 3)
 	loops := b.MustBuild()
-	for _, ok := range [][][]int{{{1}}, {{2, 3}}, {{1, 2, 3}}, {{}}} {
-		if err := CheckConsistency(loops, ok); err != nil {
-			t.Errorf("consistent loop output %v rejected: %v", ok, err)
-		}
-	}
-	err := CheckConsistency(loops, [][]int{{1, 2}})
-	if want := "sim: inconsistent output: 2 ∈ X(0) but 3 ∉ X(0)"; err == nil || err.Error() != want {
-		t.Errorf("one-sided undirected loop: err = %v, want %q", err, want)
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		x    [][]int
+		want string // the error; "" if the output is consistent
+	}{
+		{"OneSided", path, [][]int{{1}, nil}, "sim: inconsistent output: 1 ∈ X(0) but 1 ∉ X(1)"},
+		{"OtherSide", path, [][]int{nil, {1}}, "sim: inconsistent output: 1 ∈ X(1) but 1 ∉ X(0)"},
+		{"Edge", path, [][]int{{1}, {1}}, ""},
+		{"Empty", path, [][]int{nil, nil}, ""},
+		{"DirectedLoop", loops, [][]int{{1}}, ""},
+		{"UndirectedLoop", loops, [][]int{{2, 3}}, ""},
+		{"BothLoops", loops, [][]int{{1, 2, 3}}, ""},
+		{"NoLoop", loops, [][]int{nil}, ""},
+		{"OneSidedUndirectedLoop", loops, [][]int{{1, 2}}, "sim: inconsistent output: 2 ∈ X(0) but 3 ∉ X(0)"},
+		{"OtherSideUndirectedLoop", loops, [][]int{{3}}, "sim: inconsistent output: 3 ∈ X(0) but 2 ∉ X(0)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for name, run := range map[string]func(*graph.Graph, Algorithm, ...Option) (*Result, error){
+				"reference":  RunReference,
+				"sequential": RunSequential,
+				"sharded":    RunSharded,
+			} {
+				alg := newFixedAlg(tc.x)
+				res, err := run(tc.g, alg)
+				for v, n := range alg.nodes {
+					if d := tc.g.Deg(v); n.calls != 1 || n.ln != d || n.cp != d {
+						t.Errorf("%s: node %d got %d Output windows, the last of len %d cap %d; want one of %d",
+							name, v, n.calls, n.ln, n.cp, d)
+					}
+				}
+				if tc.want != "" {
+					if err == nil || err.Error() != tc.want || res != nil {
+						t.Errorf("%s: err = %v, want %q and no Result", name, err, tc.want)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: consistent output rejected: %v", name, err)
+				}
+				for v, x := range tc.x {
+					if got := graph.PortsIn(tc.g, res.Outputs, v); !reflect.DeepEqual(got, x) {
+						t.Errorf("%s: X(%d) read back from D = %v, want %v", name, v, got, x)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -395,24 +437,25 @@ func TestIsolatedNodes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunSequential: %v", err)
 	}
-	for v, out := range res.Outputs {
-		if len(out) != 0 {
-			t.Errorf("node %d output %v, want empty", v, out)
-		}
+	if res.Outputs.Universe() != 0 {
+		t.Errorf("edge set over %d edges, want 0", res.Outputs.Universe())
 	}
 	if res.Messages != 0 {
 		t.Errorf("Messages = %d, want 0", res.Messages)
 	}
 }
 
-func TestRunToEdgeSet(t *testing.T) {
+func TestRunReturnsEdgeSet(t *testing.T) {
 	g := gen.Complete(4)
-	d, res, err := RunToEdgeSet(g, markAlg{})
+	res, err := RunSequential(g, markAlg{})
 	if err != nil {
-		t.Fatalf("RunToEdgeSet: %v", err)
+		t.Fatalf("RunSequential: %v", err)
 	}
-	if d.Empty() {
-		t.Error("empty edge set from markAlg on K4")
+	if d := res.Outputs; d.Universe() != g.M() || d.Empty() {
+		t.Errorf("markAlg on K4 returned %v over %d edges, want a nonempty set over %d", d, d.Universe(), g.M())
+	}
+	if _, err := EdgeSet(g, graph.NewEdgeSet(g.M()+1)); err == nil {
+		t.Error("EdgeSet accepted a set over another graph's edges")
 	}
 	if res.Rounds != 1 {
 		t.Errorf("Rounds = %d, want 1", res.Rounds)
