@@ -69,7 +69,7 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-request deadline")
 	maxTimeout := flag.Duration("max-timeout", 2*time.Minute, "largest client-requestable deadline")
 	drain := flag.Duration("drain", 30*time.Second, "shutdown drain deadline for in-flight runs")
-	batchWindow := flag.Duration("batch-window", 0, "how long a cache-missing run waits for identical requests to coalesce onto it (0 disables)")
+	batchWindow := flag.Duration("batch-window", 0, "how long a cache-missing run waits for requests for the same graph and algorithm to coalesce onto it (0 disables)")
 	self := flag.String("self", "", "this replica's advertised base URL (enables the cluster tier together with -peers)")
 	peers := flag.String("peers", "", "comma-separated base URLs of every replica, -self included")
 	fillTimeout := flag.Duration("fill-timeout", 15*time.Second, "per-attempt deadline for peer fill requests")

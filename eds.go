@@ -37,6 +37,7 @@ import (
 	"eds/internal/graph"
 	"eds/internal/ratio"
 	"eds/internal/sim"
+	"eds/internal/spec"
 	"eds/internal/verify"
 )
 
@@ -172,16 +173,8 @@ func AllEdges() Algorithm { return core.AllEdges{} }
 // odd-regular, and General(Δ) otherwise. The returned ratio is the tight
 // worst-case guarantee.
 func ForGraph(g *Graph) (Algorithm, Ratio, error) {
-	if g.MaxDegree() <= 1 {
-		return core.AllEdges{}, ratio.FromInt(1), nil
-	}
-	if d, ok := g.Regular(); ok {
-		if d%2 == 0 {
-			return core.PortOne{}, ratio.EvenRegularBound(d), nil
-		}
-		return core.RegularOdd{}, ratio.OddRegularBound(d), nil
-	}
-	return core.NewGeneral(g.MaxDegree()), ratio.BoundedDegreeBound(g.MaxDegree()), nil
+	alg, r := spec.ForGraph(g)
+	return alg, r, nil
 }
 
 // Run executes the algorithm on the deterministic sequential engine and
@@ -244,16 +237,8 @@ func GreedyMaximalMatching(g *Graph) *EdgeSet {
 // TightRatio returns the paper's tight approximation ratio for the graph
 // family g belongs to (Table 1).
 func TightRatio(g *Graph) Ratio {
-	if g.MaxDegree() <= 1 {
-		return ratio.FromInt(1)
-	}
-	if d, ok := g.Regular(); ok {
-		if d%2 == 0 {
-			return ratio.EvenRegularBound(d)
-		}
-		return ratio.OddRegularBound(d)
-	}
-	return ratio.BoundedDegreeBound(g.MaxDegree())
+	_, r := spec.ForGraph(g)
+	return r
 }
 
 // MeasuredRatio returns |d| / |opt| as an exact rational, where opt is

@@ -30,6 +30,12 @@ import (
 //
 // Every node's identifier is its node index: the "IDs exist"
 // assumption, made concrete.
+//
+// Precondition: g is simple. Over an undirected self-loop a node points
+// at itself and the point arrives on the loop's other port; over two
+// parallel edges whose port orders cross, the two ends point along
+// different edges. Neither pair ever matches, so the run would spin to
+// the round limit. spec.Algorithm refuses such graphs.
 type IDMatching struct{}
 
 var _ sim.Algorithm = IDMatching{}

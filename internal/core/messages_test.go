@@ -132,8 +132,9 @@ func TestCongestMessageShape(t *testing.T) {
 				kindPropose: flag, kindRespond: flag, kindStatus: flag, kindProposal: tag, kindAnswer: flag}},
 			{VertexCover3{Delta: delta}, map[msgKind]fieldCheck{kindProposal: tag, kindAnswer: flag}},
 		}
-		// IDMatching needs a simple graph: over a self-loop a node
-		// points at itself, never matches, and never stops.
+		// IDMatching needs a simple graph (its documented precondition):
+		// over a self-loop, or two parallel edges whose port orders
+		// cross, the points never meet, so the run never stops.
 		if g.IsSimple() {
 			cases = append(cases, shapeCase{IDMatching{}, map[msgKind]fieldCheck{kindID: id, kindIDStatus: flag, kindPoint: tag}})
 		}

@@ -3,23 +3,26 @@ package server
 import (
 	"sync"
 	"sync/atomic"
+
+	"eds/internal/graph"
 )
 
-// flightGroup coalesces identical in-flight /v1/run requests: the first
-// request for a cache key becomes the leader and executes the run; every
-// duplicate arriving while it is in flight becomes a follower and waits
-// for the leader's outcome instead of occupying a second worker slot.
-// Together with the result cache this closes the stampede window — the
-// cache serves repeats of *finished* runs, the flight group serves
-// repeats of *running* ones.
+// flightGroup coalesces in-flight /v1/run requests for one run: the
+// first request for a (graph digest, algorithm) key becomes the leader
+// and executes the run; every request for the same key arriving while
+// it is in flight, whatever its response shape, becomes a follower and
+// waits for the leader's outcome instead of occupying a second worker
+// slot. Together with the result cache this closes the stampede window
+// — the cache serves repeats of *finished* runs, the flight group
+// serves repeats of *running* ones.
 //
-// Outcomes come in two classes. Deterministic outcomes — a successful
-// response body or a run failure that is a function of the graph and
+// Outcomes come in two classes. Deterministic outcomes — a run's
+// summary and D, or a run failure that is a function of the graph and
 // algorithm alone (round limit, malformed send) — are shared with every
-// follower verbatim. Private outcomes — the leader's deadline expired,
-// its client went away, or its admission budget ran out — say nothing
-// about what any other request would see, so followers are not poisoned
-// with them: the flight resolves with code 0 and each follower retries,
+// follower. Private outcomes — the leader's deadline expired, its
+// client went away, or its admission budget ran out — say nothing about
+// what any other request would see, so followers are not poisoned with
+// them: the flight resolves marked private and each follower retries,
 // the first one becoming the new leader.
 type flightGroup struct {
 	mu sync.Mutex
@@ -37,12 +40,16 @@ type flight struct {
 	size atomic.Int64
 }
 
-// flightResult is a leader's published outcome. code 0 marks a private
-// outcome (retry); StatusOK carries body; anything else carries msg.
+// flightResult is a request's run outcome, as a leader publishes it: a
+// private outcome makes followers retry; otherwise StatusOK carries the
+// run's summary (EdgeList omitted) and D, and any other code carries
+// msg.
 type flightResult struct {
-	code int
-	body []byte
-	msg  string
+	private bool
+	code    int
+	msg     string
+	sum     RunResponse
+	d       *graph.EdgeSet
 }
 
 func newFlightGroup() *flightGroup {

@@ -9,11 +9,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -186,4 +188,125 @@ func TestServerFollowerHonoursOwnDeadline(t *testing.T) {
 	}
 	close(gate) // release the leader so ts.Close does not wait out its deadline
 	<-done
+}
+
+// served is one response as a client saw it.
+type served struct {
+	code  int
+	cache string
+	body  []byte
+}
+
+// flightSize is the size of the one flight in progress, or 0 when none
+// is.
+func flightSize(s *Server) int64 {
+	s.flights.mu.Lock()
+	defer s.flights.mu.Unlock()
+	for _, f := range s.flights.m {
+		return f.size.Load()
+	}
+	return 0
+}
+
+// TestServerSharedRunAcrossShapes pins that a run depends only on the
+// graph and the algorithm: a summary, an edge-list and a stream request
+// for one graph, in flight together, share one engine run, and each
+// answers byte for byte what an uncached server answers for its shape.
+func TestServerSharedRunAcrossShapes(t *testing.T) {
+	s, gate, started := gateServer(Config{Workers: 4})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body := graphBytes(t, gen.Cycle(16))
+
+	shapes := []struct{ query, cache string }{
+		{"?alg=auto", "miss"},
+		{"?alg=auto&edges=1", "coalesced"},
+		{"?alg=auto&edges=1&stream=1", "bypass"},
+	}
+	results := make([]served, len(shapes))
+	var wg sync.WaitGroup
+	post := func(i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, out := postRun(t, ts.Client(), ts.URL, shapes[i].query, body)
+			results[i] = served{resp.StatusCode, resp.Header.Get("X-Cache"), out}
+		}()
+	}
+	post(0)
+	<-started // the summary request leads; its engine run is in flight
+	post(1)
+	post(2)
+	// An extra engine run ends the wait too, so a shape that missed the
+	// flight fails below instead of timing out here.
+	waitFor(t, func() bool { return flightSize(s) == 3 || len(started) > 0 })
+	close(gate)
+	wg.Wait()
+
+	if extra := len(started); extra != 0 {
+		t.Errorf("%d extra engine runs started; every shape must share the leader's run", extra)
+	}
+	for i, sh := range shapes {
+		got := results[i]
+		if got.code != http.StatusOK || got.cache != sh.cache {
+			t.Errorf("%s: status %d, X-Cache %q; want 200 %q", sh.query, got.code, got.cache, sh.cache)
+		}
+		if want := uncachedBody(t, sh.query, body); !bytes.Equal(got.body, want) {
+			t.Errorf("%s: shared-run body differs from an uncached server's:\n%s\nvs\n%s", sh.query, got.body, want)
+		}
+	}
+}
+
+// TestServerStreamFollowerRetriesAfterLeaderTimeout: a stream joins a
+// buffered request's flight, and the leader's deadline expires. The 504
+// is the leader's alone, so the stream retries, leads a run of its own
+// and streams it.
+func TestServerStreamFollowerRetriesAfterLeaderTimeout(t *testing.T) {
+	s := New(Config{Workers: 4, CacheEntries: -1})
+	joined := make(chan struct{})
+	var runs atomic.Int32
+	s.runEngine = func(ctx context.Context, engine string, shards int, g *graph.Graph, a sim.Algorithm) (*sim.Result, sim.Timings, error) {
+		if runs.Add(1) == 1 {
+			// The leader holds its flight until the stream has joined
+			// it, then runs out its deadline.
+			select {
+			case <-joined:
+			case <-time.After(5 * time.Second):
+			}
+			<-ctx.Done()
+		}
+		return defaultRunEngine(ctx, "sequential", 0, g, a)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body := graphBytes(t, gen.Cycle(16))
+	const streamQuery = "?edges=1&stream=1&timeout=30s"
+
+	leader := make(chan int, 1)
+	go func() {
+		resp, _ := postRun(t, ts.Client(), ts.URL, "?timeout=100ms", body)
+		leader <- resp.StatusCode
+	}()
+	waitFor(t, func() bool { return flightSize(s) == 1 })
+	follower := make(chan served, 1)
+	go func() {
+		resp, out := postRun(t, ts.Client(), ts.URL, streamQuery, body)
+		follower <- served{resp.StatusCode, resp.Header.Get("X-Cache"), out}
+	}()
+	waitFor(t, func() bool { return flightSize(s) == 2 })
+	close(joined)
+
+	if code := <-leader; code != http.StatusGatewayTimeout {
+		t.Errorf("leader status = %d, want 504", code)
+	}
+	got := <-follower
+	if got.code != http.StatusOK || got.cache != "bypass" {
+		t.Errorf("stream follower: status %d, X-Cache %q; want 200 bypass", got.code, got.cache)
+	}
+	if want := uncachedBody(t, streamQuery, body); !bytes.Equal(got.body, want) {
+		t.Errorf("stream follower's body differs from an uncached server's:\n%s\nvs\n%s", got.body, want)
+	}
+	if n := runs.Load(); n != 2 {
+		t.Errorf("engine runs = %d, want 2 (the stream leads its own run after the leader's 504)", n)
+	}
 }

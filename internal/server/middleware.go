@@ -29,7 +29,7 @@ func newRequestID() string {
 }
 
 // statusWriter records the status code and body bytes a handler wrote,
-// for the request log. It forwards Flush so the streaming path keeps
+// for the request log and the /statsz counts. It forwards Flush so the streaming path keeps
 // its chunked delivery through the middleware.
 type statusWriter struct {
 	http.ResponseWriter
@@ -70,6 +70,7 @@ func (w *statusWriter) Flush() {
 //   - one structured log line per request: method, path, status, bytes,
 //     duration, cache disposition, and the requesting peer for fills.
 //     Health probes log at Debug so an idle fleet's logs stay quiet.
+//   - /statsz's request counts, by status, of /v1/run and the fill.
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-ID")
@@ -81,6 +82,9 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
 		next.ServeHTTP(sw, r.WithContext(ctx))
+		if r.URL.Path == "/v1/run" || r.URL.Path == "/internal/v1/fill" {
+			s.st.recordStatus(sw.code)
+		}
 
 		level := slog.LevelInfo
 		if isProbePath(r.URL.Path) {

@@ -15,17 +15,19 @@
 //   - result cache: an LRU keyed by the canonical graph digest plus the
 //     resolved algorithm, so identical requests are served byte-for-byte
 //     identically without re-running the engine;
-//   - request batching: identical in-flight requests coalesce onto one
-//     engine run (singleflight), and an optional batch window delays the
-//     leader so identical requests arriving within the window join the
-//     same run instead of racing it;
+//   - request batching: in-flight requests for the same graph and
+//     resolved algorithm coalesce onto one engine run (singleflight),
+//     whatever response shape each asked for, and an optional batch
+//     window delays the leader so such requests arriving within the
+//     window join the same run instead of racing it;
 //   - cluster tier: with a cluster.Cluster configured, each graph digest
 //     is owned by exactly one replica (rendezvous hashing); non-owners
 //     fetch results over POST /internal/v1/fill instead of recomputing,
 //     and degrade to local compute when the owner is unreachable;
 //   - streaming: ?edges=1&stream=1 answers in chunked NDJSON (a summary
 //     line followed by one line per edge), so a million-edge dominating
-//     set never materialises as one JSON body in memory;
+//     set never materialises as one JSON body in memory; streams bypass
+//     the cache but share in-flight runs and the batch window;
 //   - input hardening: request bodies are size-capped (413), and the
 //     graph decoder enforces node/port limits (graph.ReadGraphLimits)
 //     so hostile inputs cannot OOM the process — on the public endpoint
@@ -101,11 +103,11 @@ type Config struct {
 	// disables the cache).
 	CacheEntries int
 	// BatchWindow is how long the leader of a fresh cache miss waits
-	// before starting its engine run, so identical requests arriving
-	// within the window coalesce onto that one run instead of finding
-	// the cache still cold a moment apart. 0 (the default) disables the
-	// wait; duplicates arriving while a run is in flight still coalesce
-	// through the singleflight. With a cluster configured the window
+	// before starting its engine run, so requests for the same graph and
+	// algorithm arriving within the window coalesce onto that one run
+	// instead of finding the cache still cold a moment apart. 0 (the
+	// default) disables the wait; such requests arriving while a run is
+	// in flight still coalesce through the singleflight. With a cluster configured the window
 	// batches fleet-wide: every replica routes a digest's misses to the
 	// same owner, whose window collects them all.
 	BatchWindow time.Duration
@@ -272,12 +274,11 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-func (s *Server) writeError(w http.ResponseWriter, code int, format string, args ...any) {
+func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	body, _ := json.Marshal(errorResponse{Error: fmt.Sprintf(format, args...)})
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	w.Write(append(body, '\n'))
-	s.st.recordStatus(code)
 }
 
 // runRequest is one parsed and validated /v1/run request.
@@ -364,30 +365,40 @@ func cacheKey(sum [sha256.Size]byte, algName string, includeEdges bool) string {
 
 // acquire admits the request into the worker pool, waiting in the
 // bounded queue if all workers are busy. It returns a release function,
-// or an HTTP status when the request cannot run: 429 when the queue is
-// full, 504/499 when the deadline expires or the client leaves while
-// queued.
-func (s *Server) acquire(ctx context.Context) (release func(), status int) {
+// or nil and the private outcome of a request that cannot run: 429 when
+// the queue is full, 504/499 when the deadline expires or the client
+// leaves while queued.
+func (s *Server) acquire(ctx context.Context) (func(), flightResult) {
 	select {
 	case s.sem <- struct{}{}:
-		return func() { <-s.sem }, 0
+		return func() { <-s.sem }, flightResult{}
 	default:
 	}
+	notAdmitted := fmt.Sprintf("request not admitted (%d workers busy, queue of %d full or deadline passed)",
+		s.cfg.Workers, s.cfg.QueueDepth)
 	select {
 	case s.queue <- struct{}{}:
 	default:
-		return nil, http.StatusTooManyRequests
+		return nil, flightResult{private: true, code: http.StatusTooManyRequests, msg: notAdmitted}
 	}
 	defer func() { <-s.queue }()
 	select {
 	case s.sem <- struct{}{}:
-		return func() { <-s.sem }, 0
+		return func() { <-s.sem }, flightResult{}
 	case <-ctx.Done():
-		if errors.Is(context.Cause(ctx), context.DeadlineExceeded) {
-			return nil, http.StatusGatewayTimeout
-		}
-		return nil, StatusClientClosedRequest
+		return nil, ended(context.Cause(ctx), notAdmitted, notAdmitted)
 	}
+}
+
+// ended is the private outcome of a request whose budget ran out: 504
+// with timedOut once its deadline passed, 499 with gone when its client
+// went away. cause is the context's cause, or an engine error wrapping
+// it.
+func ended(cause error, timedOut, gone string) flightResult {
+	if errors.Is(cause, context.DeadlineExceeded) {
+		return flightResult{private: true, code: http.StatusGatewayTimeout, msg: timedOut}
+	}
+	return flightResult{private: true, code: StatusClientClosedRequest, msg: gone}
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -415,29 +426,29 @@ func (s *Server) handleFill(w http.ResponseWriter, r *http.Request) {
 // is never re-forwarded and may not stream.
 func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, isFill bool) {
 	if s.isDraining() {
-		s.writeError(w, http.StatusServiceUnavailable, "server is draining")
+		writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
 	req, err := s.parseRunRequest(r)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if req.stream && isFill {
 		// Streams are served by the replica the client is talking to
 		// (their bodies are not cacheable, so ownership buys nothing);
 		// peers have no business requesting one.
-		s.writeError(w, http.StatusBadRequest, "stream=1 is not valid on the fill endpoint")
+		writeError(w, http.StatusBadRequest, "stream=1 is not valid on the fill endpoint")
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			s.writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", s.cfg.MaxBodyBytes)
+			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", s.cfg.MaxBodyBytes)
 			return
 		}
-		s.writeError(w, http.StatusBadRequest, "reading body: %v", err)
+		writeError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
 
@@ -449,7 +460,7 @@ func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, isFill bool) {
 	if !req.stream {
 		if cached, ok := s.cache.get(rawKey); ok {
 			s.st.recordCache(true)
-			s.serveCached(w, cached)
+			serveCached(w, cached)
 			return
 		}
 	}
@@ -457,15 +468,15 @@ func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, isFill bool) {
 	g, err := graph.ReadGraphLimits(bytes.NewReader(body), s.cfg.Limits)
 	if err != nil {
 		if errors.Is(err, graph.ErrTooLarge) {
-			s.writeError(w, http.StatusRequestEntityTooLarge, "%v", err)
+			writeError(w, http.StatusRequestEntityTooLarge, "%v", err)
 			return
 		}
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	alg, bound, err := spec.Algorithm(req.algSpec, g)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
@@ -479,28 +490,24 @@ func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, isFill bool) {
 		if cached, ok := s.cache.get(key); ok {
 			s.st.recordCache(true)
 			s.cache.put(rawKey, cached)
-			s.serveCached(w, cached)
+			serveCached(w, cached)
 			return
 		}
 		s.st.recordCache(false)
 	}
 
 	// The deadline starts before admission: time spent waiting for a
-	// worker, for the batch window, for an identical in-flight run, or
+	// worker, for the batch window, for the in-flight run it joined, or
 	// for the owner's fill response all counts against the request's
 	// budget.
 	ctx, cancel := context.WithTimeout(r.Context(), req.timeout)
 	defer cancel()
 
-	if req.stream {
-		s.streamRun(ctx, w, req, g, alg, bound)
-		return
-	}
-
 	// Cluster routing: a cache miss for a digest owned elsewhere is
 	// filled from the owner instead of recomputed. Fills themselves
-	// never re-forward, and any failure degrades to local compute.
-	if s.cfg.Cluster != nil && !isFill {
+	// never re-forward, streams are served where they arrive, and any
+	// failure degrades to local compute.
+	if s.cfg.Cluster != nil && !isFill && !req.stream {
 		if owner, self := s.cfg.Cluster.Owner(digest[:]); !self {
 			if s.forwardFill(ctx, w, r, owner, body, key, rawKey) {
 				return
@@ -509,15 +516,40 @@ func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, isFill bool) {
 		}
 	}
 
-	s.serveLocal(ctx, w, req, g, alg, bound, key, rawKey)
+	out, class := s.run(ctx, req, g, alg, bound, digest)
+	if out.code != http.StatusOK {
+		writeError(w, out.code, "%s", out.msg)
+		return
+	}
+	if req.stream {
+		s.writeStream(w, g, out.sum, out.d)
+		return
+	}
+	sum := out.sum
+	if req.includeEdges {
+		sum.EdgeList = make([][2]int, 0, sum.Edges)
+		for _, idx := range out.d.Indices() {
+			e := g.Edge(idx)
+			sum.EdgeList = append(sum.EdgeList, [2]int{e.U(), e.V()})
+		}
+	}
+	respBody, err := marshalLine(sum)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	s.cache.put(key, respBody)
+	s.cache.put(rawKey, respBody)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("X-Cache", class)
+	w.Write(respBody)
 }
 
 // serveCached writes a cache hit.
-func (s *Server) serveCached(w http.ResponseWriter, cached []byte) {
+func serveCached(w http.ResponseWriter, cached []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Cache", "hit")
 	w.Write(cached)
-	s.st.recordStatus(http.StatusOK)
 }
 
 // forwardFill asks the owner replica for this request's result and
@@ -558,137 +590,91 @@ func (s *Server) forwardFill(ctx context.Context, w http.ResponseWriter, r *http
 	}
 	w.WriteHeader(resp.StatusCode)
 	w.Write(respBody)
-	s.st.recordStatus(resp.StatusCode)
 	return true
 }
 
-// serveLocal runs the request on this replica, coalescing identical
-// requests through the flight group.
+// run returns the outcome of running alg on g, and the X-Cache class of
+// a successful answer: miss for the request that ran the engine,
+// coalesced for one that shared its run.
 //
-// Singleflight on the cache key: the first request for this exact
-// graph/algorithm/shape leads and runs the engine; duplicates that
-// arrive while it is in flight wait for its outcome instead of
-// occupying worker slots of their own. Followers whose leader ended
-// privately (canceled, timed out, not admitted) loop and take the
-// lead themselves.
-func (s *Server) serveLocal(ctx context.Context, w http.ResponseWriter, req runRequest, g *graph.Graph, alg sim.Algorithm, bound *ratio.R, key, rawKey string) {
+// Singleflight on (graph digest, resolved algorithm): a run depends on
+// nothing else, so requests of every response shape share it, and each
+// renders its own shape from the shared summary and D with its own
+// decoded graph (an equal digest means equal edge indices). The first
+// request leads; requests arriving while it is in flight wait for its
+// outcome instead of taking worker slots of their own. Followers whose
+// leader ended privately loop and take the lead themselves.
+func (s *Server) run(ctx context.Context, req runRequest, g *graph.Graph, alg sim.Algorithm, bound *ratio.R, digest [sha256.Size]byte) (flightResult, string) {
+	key := fmt.Sprintf("%x|%s", digest, alg.Name())
 	for {
 		f, leader := s.flights.join(key)
 		if leader {
-			s.leadRun(ctx, w, req, g, alg, bound, key, rawKey, f)
-			return
+			out := s.lead(ctx, req, g, alg, bound)
+			s.flights.finish(key, f, out)
+			if out.code == http.StatusOK {
+				// The flight is closed to joiners once finish removed the
+				// key, so its size — leader plus every coalesced follower
+				// and fill — is now stable: that is this run's batch yield.
+				s.st.recordBatch(f.size.Load())
+			}
+			return out, "miss"
 		}
 		select {
 		case <-f.done:
-			res := f.res
-			if res.code == 0 {
+			if f.res.private {
 				continue
 			}
 			s.st.recordCoalesced()
-			if res.code == http.StatusOK {
-				w.Header().Set("Content-Type", "application/json")
-				w.Header().Set("X-Cache", "coalesced")
-				w.Write(res.body)
-				s.st.recordStatus(http.StatusOK)
-				return
-			}
-			s.writeError(w, res.code, "%s", res.msg)
-			return
+			return f.res, "coalesced"
 		case <-ctx.Done():
-			if errors.Is(context.Cause(ctx), context.DeadlineExceeded) {
-				s.writeError(w, http.StatusGatewayTimeout, "request timed out waiting for an identical in-flight run")
-				return
-			}
-			s.writeError(w, StatusClientClosedRequest, "client canceled while waiting for an identical in-flight run")
-			return
+			return ended(context.Cause(ctx),
+				"request timed out waiting for an identical in-flight run",
+				"client canceled while waiting for an identical in-flight run"), ""
 		}
 	}
 }
 
-// leadRun executes a run as the flight leader: it owes the flight
-// exactly one finish on every exit path. Outcomes that depend only on
-// the graph and algorithm (success, round limit, malformed send) are
-// published for the followers; outcomes private to this request's
-// budget (deadline, client gone, admission failure) publish a retry
-// marker instead.
-func (s *Server) leadRun(ctx context.Context, w http.ResponseWriter, req runRequest, g *graph.Graph, alg sim.Algorithm, bound *ratio.R, key, rawKey string, f *flight) {
+// lead executes a flight's run: the batch window, admission and the
+// engine. Outcomes that depend only on the graph and algorithm (the
+// run, a round limit, malformed node behaviour) are shared with the
+// followers; outcomes private to this request's budget (deadline,
+// client gone, admission failure) are marked private, and the followers
+// retry.
+func (s *Server) lead(ctx context.Context, req runRequest, g *graph.Graph, alg sim.Algorithm, bound *ratio.R) flightResult {
 	// The batch window: a fresh leader waits briefly before running, so
-	// identical requests that are about to arrive — from local clients
-	// or, via owner routing, from every replica in the fleet — join this
-	// flight instead of finding a cold cache a moment apart. The wait
-	// spends the leader's own deadline budget; expiry is a private
-	// outcome, so waiting followers retry with their own budgets.
+	// requests for the same run that are about to arrive — from local
+	// clients or, via owner routing, from every replica in the fleet —
+	// join this flight instead of finding a cold cache a moment apart.
+	// The wait spends the leader's own deadline budget.
 	if s.cfg.BatchWindow > 0 {
 		t := time.NewTimer(s.cfg.BatchWindow)
 		select {
 		case <-t.C:
 		case <-ctx.Done():
 			t.Stop()
-			s.flights.finish(key, f, flightResult{})
-			if errors.Is(context.Cause(ctx), context.DeadlineExceeded) {
-				s.writeError(w, http.StatusGatewayTimeout, "request timed out in the batch window")
-				return
-			}
-			s.writeError(w, StatusClientClosedRequest, "client canceled in the batch window")
-			return
+			return ended(context.Cause(ctx),
+				"request timed out in the batch window", "client canceled in the batch window")
 		}
 	}
 
-	release, code := s.acquire(ctx)
-	if code != 0 {
-		s.flights.finish(key, f, flightResult{})
-		s.writeError(w, code, "request not admitted (%d workers busy, queue of %d full or deadline passed)",
-			s.cfg.Workers, s.cfg.QueueDepth)
-		return
+	release, refused := s.acquire(ctx)
+	if release == nil {
+		return refused
 	}
 	defer release()
 
-	start := time.Now()
 	res, split, err := s.runEngine(ctx, req.engine, req.shards, g, alg)
-	if err != nil {
-		if errors.Is(err, sim.ErrCanceled) {
-			s.flights.finish(key, f, flightResult{})
-			if errors.Is(err, context.DeadlineExceeded) {
-				s.writeError(w, http.StatusGatewayTimeout, "run exceeded its %s deadline", req.timeout)
-				return
-			}
-			s.writeError(w, StatusClientClosedRequest, "client canceled the run")
-			return
-		}
-		// Round limits, malformed algorithm behaviour: deterministic for
-		// this graph and algorithm, so the followers share the failure.
-		msg := err.Error()
-		s.flights.finish(key, f, flightResult{code: http.StatusInternalServerError, msg: msg})
-		s.writeError(w, http.StatusInternalServerError, "%s", msg)
-		return
+	if errors.Is(err, sim.ErrCanceled) {
+		return ended(err, fmt.Sprintf("run exceeded its %s deadline", req.timeout), "client canceled the run")
 	}
-	s.st.recordLatency(alg.Name(), time.Since(start))
-	s.st.recordPhases(split)
-
-	respBody, err := buildResponse(g, alg.Name(), bound, res, req.includeEdges)
 	if err != nil {
-		msg := err.Error()
-		s.flights.finish(key, f, flightResult{code: http.StatusInternalServerError, msg: msg})
-		s.writeError(w, http.StatusInternalServerError, "%s", msg)
-		return
+		return flightResult{code: http.StatusInternalServerError, msg: err.Error()}
 	}
-	s.cache.put(key, respBody)
-	s.cache.put(rawKey, respBody)
-	s.flights.finish(key, f, flightResult{code: http.StatusOK, body: respBody})
-	// The flight is closed to joiners once finish removed the key, so
-	// its size — leader plus every coalesced follower and fill — is now
-	// stable: that is this run's batch yield.
-	s.st.recordBatch(f.size.Load())
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cache", "miss")
-	w.Write(respBody)
-	s.st.recordStatus(http.StatusOK)
-}
+	s.st.recordRun(alg.Name(), split)
 
-func buildResponse(g *graph.Graph, algName string, bound *ratio.R, res *sim.Result, includeEdges bool) ([]byte, error) {
 	d := res.Outputs
-	resp := RunResponse{
-		Algorithm:  algName,
+	sum := RunResponse{
+		Algorithm:  alg.Name(),
 		N:          g.N(),
 		M:          g.M(),
 		Rounds:     res.Rounds,
@@ -697,15 +683,14 @@ func buildResponse(g *graph.Graph, algName string, bound *ratio.R, res *sim.Resu
 		Dominating: verify.IsEdgeDominatingSet(g, d),
 	}
 	if bound != nil {
-		resp.Bound = bound.String()
+		sum.Bound = bound.String()
 	}
-	if includeEdges {
-		resp.EdgeList = make([][2]int, 0, d.Count())
-		for _, idx := range d.Indices() {
-			e := g.Edge(idx)
-			resp.EdgeList = append(resp.EdgeList, [2]int{e.U(), e.V()})
-		}
-	}
+	return flightResult{code: http.StatusOK, sum: sum, d: d}
+}
+
+// marshalLine encodes one JSON response line: a buffered body, or the
+// summary line of a stream.
+func marshalLine(resp RunResponse) ([]byte, error) {
 	body, err := json.Marshal(resp)
 	if err != nil {
 		return nil, err
@@ -752,6 +737,8 @@ type statszResponse struct {
 		Depth    int `json:"depth"`
 		Capacity int `json:"capacity"`
 	} `json:"queue"`
+	// LatencyMs distributes each algorithm's engine runs by wall time,
+	// the total of the run's own sim.WithTimings split.
 	LatencyMs map[string]histogramSnapshot `json:"latency_ms"`
 	// EngineTime is the cumulative wall-time split of every completed
 	// run, as reported by sim.WithTimings: setup (node construction and

@@ -50,6 +50,20 @@ func postRun(t testing.TB, client *http.Client, url, query string, body []byte) 
 	return resp, out
 }
 
+// uncachedBody is what a fresh server with its cache off answers for
+// query and body: the reference that a cached, coalesced or shared
+// answer must match byte for byte.
+func uncachedBody(t *testing.T, query string, body []byte) []byte {
+	t.Helper()
+	ts := httptest.NewServer(New(Config{CacheEntries: -1}).Handler())
+	defer ts.Close()
+	resp, out := postRun(t, ts.Client(), ts.URL, query, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("uncached %s: status %d (body %s)", query, resp.StatusCode, out)
+	}
+	return out
+}
+
 func decodeRun(t testing.TB, body []byte) RunResponse {
 	t.Helper()
 	var rr RunResponse
@@ -145,6 +159,41 @@ func TestServerCacheHitReturnsIdenticalBytes(t *testing.T) {
 	}
 }
 
+// TestServerBoundIndependentOfSpelling pins that a cached answer does
+// not depend on which spelling of the algorithm arrived first. On a
+// graph of maximum degree 1, auto, general and alledges all resolve to
+// alledges; served in either order and in every shape, each answer is
+// byte-identical to an uncached server's.
+func TestServerBoundIndependentOfSpelling(t *testing.T) {
+	body := graphBytes(t, gen.PerfectMatching(4))
+	spellings := []string{"auto", "general", "alledges"}
+	for _, shape := range []string{"", "&edges=1", "&edges=1&stream=1"} {
+		want := map[string][]byte{}
+		for _, alg := range spellings {
+			want[alg] = uncachedBody(t, "?alg="+alg+shape, body)
+		}
+		for _, first := range spellings {
+			for _, second := range spellings {
+				if first == second {
+					continue
+				}
+				ts := httptest.NewServer(New(Config{}).Handler())
+				for _, alg := range []string{first, second} {
+					resp, got := postRun(t, ts.Client(), ts.URL, "?alg="+alg+shape, body)
+					if resp.StatusCode != http.StatusOK {
+						t.Fatalf("%s%s: status %d (body %s)", alg, shape, resp.StatusCode, got)
+					}
+					if !bytes.Equal(got, want[alg]) {
+						t.Errorf("%s%s after %s (X-Cache %s): got %s, want %s",
+							alg, shape, first, resp.Header.Get("X-Cache"), got, want[alg])
+					}
+				}
+				ts.Close()
+			}
+		}
+	}
+}
+
 func TestServerBadRequests(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -167,6 +216,8 @@ func TestServerBadRequests(t *testing.T) {
 		{"negative timeout", "?timeout=-5s", string(cycle), http.StatusBadRequest},
 		{"bad shards", "?shards=many", string(cycle), http.StatusBadRequest},
 		{"alg incompatible with graph", "?alg=regularodd", string(cycle), http.StatusBadRequest},
+		{"idmatching over a self-loop", "?alg=idmatching", "nodes 1\nconn 0 1 0 2\n", http.StatusBadRequest},
+		{"idmatching over crossed parallel edges", "?alg=idmatching", "nodes 2\nconn 0 1 1 2\nconn 0 2 1 1\n", http.StatusBadRequest},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"eds/internal/sim"
 )
@@ -155,14 +154,22 @@ func (s *stats) recordCoalesced() {
 	s.mu.Unlock()
 }
 
-// recordPhases accumulates one completed run's phase split.
-func (s *stats) recordPhases(split sim.Timings) {
+// recordRun accumulates one completed engine run from the run's own
+// clock (sim.WithTimings): its phase split, and the split's total as a
+// sample of alg's latency histogram.
+func (s *stats) recordRun(alg string, split sim.Timings) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.phases.Setup += split.Setup
 	s.phases.Rounds += split.Rounds
 	s.phases.Outputs += split.Outputs
 	s.runs++
-	s.mu.Unlock()
+	h := s.perAlg[alg]
+	if h == nil {
+		h = newHistogram(16, "ms")
+		s.perAlg[alg] = h
+	}
+	h.observe((split.Setup + split.Rounds + split.Outputs).Milliseconds())
 }
 
 // recordBatch notes that one engine run's outcome served size requests.
@@ -211,17 +218,6 @@ func (s *stats) recordFallback(base string) {
 func (s *stats) recordFillServed(base string) {
 	s.mu.Lock()
 	s.peer(base).FillsServed++
-	s.mu.Unlock()
-}
-
-func (s *stats) recordLatency(alg string, d time.Duration) {
-	s.mu.Lock()
-	h := s.perAlg[alg]
-	if h == nil {
-		h = newHistogram(16, "ms")
-		s.perAlg[alg] = h
-	}
-	h.observe(d.Milliseconds())
 	s.mu.Unlock()
 }
 

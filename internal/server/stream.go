@@ -2,17 +2,10 @@ package server
 
 import (
 	"bufio"
-	"context"
-	"encoding/json"
-	"errors"
 	"net/http"
 	"strconv"
-	"time"
 
 	"eds/internal/graph"
-	"eds/internal/ratio"
-	"eds/internal/sim"
-	"eds/internal/verify"
 )
 
 // streamChunkBytes is the write-buffer size of the NDJSON stream: the
@@ -22,60 +15,23 @@ import (
 // response in memory.
 const streamChunkBytes = 64 << 10
 
-// streamRun answers ?edges=1&stream=1 in chunked NDJSON: one summary
-// line (RunResponse with EdgeList omitted; Edges announces the line
-// count), then one `[u,v]` line per dominating edge. A million-edge
-// response is ~16 MiB of body served from a 64 KiB buffer, where the
-// buffered JSON path would build the whole [][2]int and its marshalled
-// body in memory first.
+// writeStream answers ?edges=1&stream=1 from a run's summary and D in
+// chunked NDJSON: one summary line (RunResponse with EdgeList omitted;
+// Edges announces the line count), then one `[u,v]` line per dominating
+// edge. A million-edge response is ~16 MiB of body served from a 64 KiB
+// buffer, where the buffered JSON path would build the whole [][2]int
+// and its marshalled body in memory first.
 //
-// Streams bypass the result cache and the flight group — their point is
-// that the complete body never exists, so there is nothing to cache or
-// share — and they are always served by the replica the client asked
-// (owner routing buys nothing without a cacheable body). The run still
-// goes through the admission queue like any other.
-func (s *Server) streamRun(ctx context.Context, w http.ResponseWriter, req runRequest, g *graph.Graph, alg sim.Algorithm, bound *ratio.R) {
-	release, code := s.acquire(ctx)
-	if code != 0 {
-		s.writeError(w, code, "request not admitted (%d workers busy, queue of %d full or deadline passed)",
-			s.cfg.Workers, s.cfg.QueueDepth)
-		return
-	}
-	defer release()
-
-	start := time.Now()
-	res, split, err := s.runEngine(ctx, req.engine, req.shards, g, alg)
+// Streams bypass the result cache — their point is that the complete
+// body never exists, so there is nothing to cache — and they are always
+// served by the replica the client asked (owner routing buys nothing
+// without a cacheable body). The run itself is shared: a stream joins
+// the flight of its graph and algorithm like any other request, so it
+// waits out the same batch window and rides the same engine run.
+func (s *Server) writeStream(w http.ResponseWriter, g *graph.Graph, sum RunResponse, d *graph.EdgeSet) {
+	summaryLine, err := marshalLine(sum)
 	if err != nil {
-		if errors.Is(err, sim.ErrCanceled) {
-			if errors.Is(err, context.DeadlineExceeded) {
-				s.writeError(w, http.StatusGatewayTimeout, "run exceeded its %s deadline", req.timeout)
-				return
-			}
-			s.writeError(w, StatusClientClosedRequest, "client canceled the run")
-			return
-		}
-		s.writeError(w, http.StatusInternalServerError, "%s", err)
-		return
-	}
-	s.st.recordLatency(alg.Name(), time.Since(start))
-	s.st.recordPhases(split)
-
-	d := res.Outputs
-	summary := RunResponse{
-		Algorithm:  alg.Name(),
-		N:          g.N(),
-		M:          g.M(),
-		Rounds:     res.Rounds,
-		Messages:   res.Messages,
-		Edges:      d.Count(),
-		Dominating: verify.IsEdgeDominatingSet(g, d),
-	}
-	if bound != nil {
-		summary.Bound = bound.String()
-	}
-	summaryLine, err := buildSummaryLine(summary)
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "%v", err)
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 
@@ -100,22 +56,11 @@ func (s *Server) streamRun(ctx context.Context, w http.ResponseWriter, req runRe
 		if _, err := bw.Write(line); err != nil {
 			// The client went away mid-stream; there is no status left to
 			// change, just stop producing.
-			s.st.recordStream(cw.n)
-			s.st.recordStatus(http.StatusOK)
-			return
+			break
 		}
 	}
 	bw.Flush()
 	s.st.recordStream(cw.n)
-	s.st.recordStatus(http.StatusOK)
-}
-
-func buildSummaryLine(summary RunResponse) ([]byte, error) {
-	body, err := json.Marshal(summary)
-	if err != nil {
-		return nil, err
-	}
-	return append(body, '\n'), nil
 }
 
 // flushingCounter counts body bytes and flushes the HTTP layer after

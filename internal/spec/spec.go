@@ -86,8 +86,27 @@ func Graph(spec string, seed int64) (*graph.Graph, *graph.EdgeSet, error) {
 	}
 }
 
+// ForGraph is Table 1 of the paper: it picks the algorithm with the best
+// worst-case guarantee for g and returns it with that tight bound.
+// AllEdges for maximum degree Δ <= 1, PortOne for even-regular graphs,
+// RegularOdd for odd-regular graphs, and General(Δ) otherwise.
+func ForGraph(g *graph.Graph) (sim.Algorithm, ratio.R) {
+	if g.MaxDegree() <= 1 {
+		return core.AllEdges{}, ratio.FromInt(1)
+	}
+	if d, ok := g.Regular(); ok {
+		if d%2 == 0 {
+			return core.PortOne{}, ratio.EvenRegularBound(d)
+		}
+		return core.RegularOdd{}, ratio.OddRegularBound(d)
+	}
+	return core.NewGeneral(g.MaxDegree()), ratio.BoundedDegreeBound(g.MaxDegree())
+}
+
 // Algorithm resolves the algorithm spec against the graph, returning the
-// worst-case guarantee when one applies.
+// worst-case guarantee when one applies. The guarantee is a function of
+// the resolved algorithm and the graph alone, whichever spec named it,
+// so edsd may share one run's summary between spellings.
 //
 // Specs: auto, portone, regularodd, regularodd-nopruning, general
 // (uses the graph's max degree), general:DELTA, alledges, idmatching.
@@ -96,16 +115,8 @@ func Algorithm(spec string, g *graph.Graph) (sim.Algorithm, *ratio.R, error) {
 	bound := func(r ratio.R) *ratio.R { return &r }
 	switch name {
 	case "auto":
-		if g.MaxDegree() <= 1 {
-			return core.AllEdges{}, bound(ratio.FromInt(1)), nil
-		}
-		if d, ok := g.Regular(); ok {
-			if d%2 == 0 {
-				return core.PortOne{}, bound(ratio.EvenRegularBound(d)), nil
-			}
-			return core.RegularOdd{}, bound(ratio.OddRegularBound(d)), nil
-		}
-		return core.NewGeneral(g.MaxDegree()), bound(ratio.BoundedDegreeBound(g.MaxDegree())), nil
+		alg, r := ForGraph(g)
+		return alg, &r, nil
 	case "portone":
 		if d, ok := g.Regular(); ok {
 			return core.PortOne{}, bound(ratio.EvenRegularBound(d)), nil
@@ -138,10 +149,20 @@ func Algorithm(spec string, g *graph.Graph) (sim.Algorithm, *ratio.R, error) {
 		}
 		return core.NewGeneral(delta), bound(ratio.BoundedDegreeBound(delta)), nil
 	case "alledges":
+		// Selecting every edge is optimal for Δ <= 1: the bound auto and
+		// general report when they resolve to AllEdges on such a graph.
+		if g.MaxDegree() <= 1 {
+			return core.AllEdges{}, bound(ratio.FromInt(1)), nil
+		}
 		return core.AllEdges{}, nil, nil
 	case "idmatching":
 		// Model extension: unique IDs. Any maximal matching is a
-		// 2-approximation.
+		// 2-approximation. The protocol cannot finish over a self-loop
+		// or parallel edges (see core.IDMatching), so those graphs are
+		// refused here rather than run to the round limit.
+		if !g.IsSimple() {
+			return nil, nil, fmt.Errorf("idmatching needs a simple graph (no self-loops or parallel edges)")
+		}
 		return core.IDMatching{}, bound(ratio.FromInt(2)), nil
 	default:
 		return nil, nil, fmt.Errorf("unknown algorithm %q", name)

@@ -63,6 +63,15 @@ func TestAlgorithm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The two shapes IDMatching cannot finish on: an undirected
+	// self-loop, and two parallel edges whose port orders cross.
+	lb := graph.NewBuilder(1)
+	lb.MustConnect(0, 1, 0, 2)
+	loop := lb.MustBuild()
+	cb := graph.NewBuilder(2)
+	cb.MustConnect(0, 1, 1, 2)
+	cb.MustConnect(0, 2, 1, 1)
+	crossed := cb.MustBuild()
 
 	tests := []struct {
 		name    string
@@ -78,6 +87,9 @@ func TestAlgorithm(t *testing.T) {
 		{name: "general below max degree", spec: "general:1", g: k4, wantErr: true},
 		{name: "regularodd on even-regular", spec: "regularodd", g: cycle, wantErr: true},
 		{name: "unknown", spec: "zigzag", g: cycle, wantErr: true},
+		{name: "idmatching on a simple graph", spec: "idmatching", g: path, want: "idmatching"},
+		{name: "idmatching over a self-loop", spec: "idmatching", g: loop, wantErr: true},
+		{name: "idmatching over crossed parallel edges", spec: "idmatching", g: crossed, wantErr: true},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -95,5 +107,32 @@ func TestAlgorithm(t *testing.T) {
 				t.Errorf("algorithm = %s, want %s", alg.Name(), tc.want)
 			}
 		})
+	}
+}
+
+// TestBoundFollowsResolvedAlgorithm pins that the bound depends on the
+// resolved algorithm and the graph, not on the spelling: on a graph of
+// maximum degree 1 every spec that resolves to AllEdges reports Table
+// 1's bound 1, and AllEdges on a graph with Δ >= 2 reports none.
+func TestBoundFollowsResolvedAlgorithm(t *testing.T) {
+	matching, _, err := Graph("matching:4", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle, _, err := Graph("cycle:6", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []string{"auto", "general", "general:1", "alledges"} {
+		alg, bound, err := Algorithm(s, matching)
+		if err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+		if alg.Name() != "alledges" || bound == nil || bound.String() != "1" {
+			t.Errorf("%s on a matching: %s with bound %v, want alledges with bound 1", s, alg.Name(), bound)
+		}
+	}
+	if _, bound, err := Algorithm("alledges", cycle); err != nil || bound != nil {
+		t.Errorf("alledges on a cycle: bound %v, err %v; want no bound", bound, err)
 	}
 }
