@@ -11,9 +11,10 @@
 //
 // Run as a fleet: give every replica the same -peers list and its own
 // -self. Each graph digest is then owned by exactly one replica
-// (rendezvous hashing); the others fetch its result over the internal
-// fill protocol instead of recomputing, and fall back to local compute
-// when the owner is down or draining:
+// (rendezvous hashing); the others fetch its run record over the
+// internal fill protocol instead of recomputing, verify it against
+// their own decoding of the graph, and fall back to local compute when
+// the owner is down or draining or its record fails verification:
 //
 //	edsd -addr :8080 -self http://10.0.0.1:8080 \
 //	     -peers http://10.0.0.1:8080,http://10.0.0.2:8080,http://10.0.0.3:8080 \
@@ -22,15 +23,20 @@
 // Run a graph:
 //
 //	edsrun -graph cycle:12 ... writes the same wire format this accepts:
-//	curl --data-binary @graph.txt 'localhost:8080/v1/run?alg=auto&engine=auto'
+//	curl --data-binary @graph.txt 'localhost:8080/v1/run?alg=auto'
 //	curl 'localhost:8080/v1/run?edges=1&stream=1' --data-binary @graph.txt   # NDJSON edge stream
+//
+// Every response shape of one graph and algorithm (summary, edges=1,
+// stream=1) is rendered from one cached run record, so after the first
+// the others answer X-Cache: hit.
 //
 // Operational endpoints: GET /livez (process liveness), GET /readyz
 // (200 while accepting runs, 503 while draining; peers and load
 // balancers key routing off this), GET /healthz (alias of /readyz),
 // GET /statsz (request counts, cache hit rate, queue depth,
 // per-algorithm latency histograms, batch sizes, stream bytes, per-peer
-// fill counters, cumulative engine wall-time split). Every request
+// fill counters including rejected fills, cumulative engine wall-time
+// split). Every request
 // carries an X-Request-ID — generated if absent, propagated on fill
 // hops — and is logged as one structured log/slog line. With -pprof,
 // net/http/pprof is mounted under /debug/pprof/ — off by default

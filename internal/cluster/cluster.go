@@ -14,7 +14,9 @@
 //     is computed and cached once fleet-wide instead of once per replica;
 //   - fill protocol: a non-owner that misses its local cache POSTs the
 //     raw request to the owner's /internal/v1/fill and caches the
-//     returned body, groupcache-style, instead of recomputing;
+//     returned run record, groupcache-style, once it has verified the
+//     record against its own decoding of the graph, instead of
+//     recomputing;
 //   - health: each peer is probed at /readyz on an interval and marked
 //     down passively when a fill fails, so requests stop routing to
 //     draining or dead replicas without waiting for the next probe;

@@ -30,6 +30,10 @@ func EdgeSetFromWords(m int, words []uint64) *EdgeSet {
 	return &EdgeSet{words: words, size: m}
 }
 
+// Words returns the set's bitset in the layout EdgeSetFromWords adopts:
+// bit i%64 of word i/64 is edge i. The caller must not modify it.
+func (s *EdgeSet) Words() []uint64 { return s.words }
+
 // NewEdgeSetOf returns an edge set containing exactly the given indices.
 func NewEdgeSetOf(m int, indices ...int) *EdgeSet {
 	s := NewEdgeSet(m)

@@ -94,6 +94,9 @@ func TestEdgeSetFromWords(t *testing.T) {
 	if s.Universe() != 66 || !s.Has(63) || !s.Has(65) || s.Count() != 2 {
 		t.Errorf("EdgeSetFromWords(66, %x) = %v over %d edges", words, s, s.Universe())
 	}
+	if back := EdgeSetFromWords(66, s.Clone().Words()); !back.Equal(s) {
+		t.Errorf("Words does not round-trip: %v, want %v", back, s)
+	}
 	for _, bad := range []struct {
 		m     int
 		words []uint64

@@ -19,7 +19,6 @@ func Analyzers() []*analysis.Analyzer {
 		OutboxAlias,
 		ArenaAlias,
 		RoundCtx,
-		EngineKey,
 	}
 }
 

@@ -25,7 +25,7 @@ import (
 func BenchmarkFlightJoinFinish(b *testing.B) {
 	fg := newFlightGroup()
 	const followers = 7
-	sum := RunResponse{Algorithm: "bench"}
+	out := flightResult{code: http.StatusOK, rec: &runRecord{}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -41,7 +41,7 @@ func BenchmarkFlightJoinFinish(b *testing.B) {
 			}
 			flights[j] = ff
 		}
-		fg.finish("bench-key", f, flightResult{code: http.StatusOK, sum: sum})
+		fg.finish("bench-key", f, out)
 		for _, ff := range flights {
 			<-ff.done
 			if ff.res.code != http.StatusOK {

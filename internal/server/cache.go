@@ -5,11 +5,11 @@ import (
 	"sync"
 )
 
-// resultCache is a fixed-capacity LRU of finished response bodies, keyed
-// by canonical graph bytes + resolved algorithm + response shape (see
-// cacheKey in server.go). A hit returns the exact bytes of the original
-// response, so repeated identical requests are served without touching
-// the admission queue or an engine. A capacity <= 0 disables caching.
+// resultCache is a fixed-capacity LRU of run records, each held under
+// its raw and its canonical key (see cacheKey in server.go). A hit
+// renders the requested shape from the record, so repeated identical
+// requests are served without touching the admission queue or an
+// engine. A capacity <= 0 disables caching.
 type resultCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -18,8 +18,8 @@ type resultCache struct {
 }
 
 type cacheEntry struct {
-	key  string
-	body []byte
+	key string
+	rec *runRecord
 }
 
 func newResultCache(capacity int) *resultCache {
@@ -30,9 +30,9 @@ func newResultCache(capacity int) *resultCache {
 	}
 }
 
-// get returns the cached body for key, promoting the entry to most
-// recently used. The caller must not modify the returned slice.
-func (c *resultCache) get(key string) ([]byte, bool) {
+// get returns the record cached under key, promoting the entry to most
+// recently used.
+func (c *resultCache) get(key string) (*runRecord, bool) {
 	if c.cap <= 0 {
 		return nil, false
 	}
@@ -43,12 +43,12 @@ func (c *resultCache) get(key string) ([]byte, bool) {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).body, true
+	return el.Value.(*cacheEntry).rec, true
 }
 
 // put inserts or refreshes key, evicting the least recently used entry
 // past capacity.
-func (c *resultCache) put(key string, body []byte) {
+func (c *resultCache) put(key string, rec *runRecord) {
 	if c.cap <= 0 {
 		return
 	}
@@ -56,10 +56,10 @@ func (c *resultCache) put(key string, body []byte) {
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).body = body
+		el.Value.(*cacheEntry).rec = rec
 		return
 	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, body: body})
+	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, rec: rec})
 	for c.ll.Len() > c.cap {
 		last := c.ll.Back()
 		c.ll.Remove(last)

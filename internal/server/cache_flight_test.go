@@ -20,7 +20,7 @@ import (
 // TestResultCacheConcurrentFill hammers one LRU from many goroutines —
 // concurrent peer fills and local runs insert into the same cache — and
 // checks the two invariants that matter: size never exceeds capacity,
-// and a surviving entry always carries the body it was inserted with.
+// and a surviving entry always carries the record it was inserted with.
 // Run under -race in CI.
 func TestResultCacheConcurrentFill(t *testing.T) {
 	const (
@@ -30,7 +30,10 @@ func TestResultCacheConcurrentFill(t *testing.T) {
 		keySpace = 64
 	)
 	c := newResultCache(capacity)
-	bodyFor := func(k int) []byte { return []byte(fmt.Sprintf("body-%d", k)) }
+	records := make([]*runRecord, keySpace)
+	for k := range records {
+		records[k] = &runRecord{line: []byte(fmt.Sprintf("record-%d\n", k))}
+	}
 
 	stop := make(chan struct{})
 	var watcher sync.WaitGroup
@@ -58,11 +61,11 @@ func TestResultCacheConcurrentFill(t *testing.T) {
 			for i := 0; i < ops; i++ {
 				k := (w*ops + i*7) % keySpace
 				key := fmt.Sprintf("key-%d", k)
-				if body, ok := c.get(key); ok && !bytes.Equal(body, bodyFor(k)) {
-					t.Errorf("key %s returned %q, want %q", key, body, bodyFor(k))
+				if rec, ok := c.get(key); ok && rec != records[k] {
+					t.Errorf("key %s returned %q, want %q", key, rec.line, records[k].line)
 					return
 				}
-				c.put(key, bodyFor(k))
+				c.put(key, records[k])
 			}
 		}(w)
 	}
@@ -139,8 +142,10 @@ func TestServerFollowerRetriesAfterLeaderCancel(t *testing.T) {
 // a byte-identical replay is answered by the raw key without decoding,
 // a cosmetic variant falls through to the canonical key and backfills
 // its own raw key, and the backfill makes the next replay of the variant
-// a raw hit too. Entry counts are the witness — every state transition
-// has a distinct cache size.
+// a raw hit too. Neither key names a response shape: a summary, an edge
+// list and a stream of one body are one engine run and one record under
+// two keys. Entry counts are the witness — every state transition has a
+// distinct cache size.
 func TestTwoLevelKeyProbing(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -148,34 +153,46 @@ func TestTwoLevelKeyProbing(t *testing.T) {
 	body := graphBytes(t, gen.Cycle(12))
 	variant := append([]byte("# cosmetic comment, same canonical graph\n"), body...)
 
-	post := func(b []byte) string {
+	post := func(query string, b []byte) string {
 		t.Helper()
-		resp, out := postRun(t, ts.Client(), ts.URL, "?alg=auto", b)
+		resp, out := postRun(t, ts.Client(), ts.URL, query, b)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d (body %s)", resp.StatusCode, out)
+		}
+		if want := uncachedBody(t, query, b); !bytes.Equal(out, want) {
+			t.Errorf("%s: body differs from an uncached server's:\n%s\nvs\n%s", query, out, want)
 		}
 		return resp.Header.Get("X-Cache")
 	}
 
-	if c := post(body); c != "miss" {
-		t.Fatalf("prime: X-Cache = %q, want miss", c)
+	for i, q := range []string{"?alg=auto", "?alg=auto&edges=1", "?alg=auto&edges=1&stream=1"} {
+		want := "hit"
+		if i == 0 {
+			want = "miss"
+		}
+		if c := post(q, body); c != want {
+			t.Errorf("%s: X-Cache = %q, want %s", q, c, want)
+		}
+		if n := s.cache.len(); n != 2 {
+			t.Fatalf("after %s: %d entries, want 2 (one record under its raw and canonical keys)", q, n)
+		}
 	}
-	if n := s.cache.len(); n != 2 {
-		t.Fatalf("after the priming miss: %d entries, want 2 (raw + canonical)", n)
+	if runs := s.st.snapshot().runs; runs != 1 {
+		t.Errorf("three shapes of one body cost %d engine runs, want 1", runs)
 	}
-	if c := post(body); c != "hit" {
+	if c := post("?alg=auto", body); c != "hit" {
 		t.Errorf("byte-identical replay: X-Cache = %q, want hit", c)
 	}
 	if n := s.cache.len(); n != 2 {
 		t.Errorf("a raw-key hit must not add entries: %d, want 2", n)
 	}
-	if c := post(variant); c != "hit" {
+	if c := post("?alg=auto", variant); c != "hit" {
 		t.Errorf("cosmetic variant: X-Cache = %q, want hit via the canonical key", c)
 	}
 	if n := s.cache.len(); n != 3 {
 		t.Errorf("canonical hit must backfill the variant's raw key: %d entries, want 3", n)
 	}
-	if c := post(variant); c != "hit" {
+	if c := post("?alg=auto", variant); c != "hit" {
 		t.Errorf("variant replay: X-Cache = %q, want hit", c)
 	}
 	if n := s.cache.len(); n != 3 {

@@ -17,6 +17,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,6 +26,7 @@ import (
 	"eds/internal/cluster"
 	"eds/internal/gen"
 	"eds/internal/graph"
+	"eds/internal/spec"
 )
 
 // switchHandler lets an httptest.Server exist before the Server that
@@ -372,7 +374,8 @@ func TestClusterFleetWideBatching(t *testing.T) {
 // TestClusterFillEndpointHardening pins the CONTRIBUTING invariant: the
 // internal fill endpoint enforces the same caps and discipline as the
 // public one — a peer must never be a way around ReadGraphLimits, the
-// body cap, draining, or the stream rules.
+// body cap, or draining — and answers the run record whatever shape
+// the query names.
 func TestClusterFillEndpointHardening(t *testing.T) {
 	s := New(Config{Limits: graph.Limits{MaxNodes: 100, MaxPorts: 400}, MaxBodyBytes: 2048})
 	ts := httptest.NewServer(s.Handler())
@@ -407,10 +410,30 @@ func TestClusterFillEndpointHardening(t *testing.T) {
 			t.Errorf("status = %d, want 400", resp.StatusCode)
 		}
 	})
-	t.Run("stream rejected", func(t *testing.T) {
-		resp, _ := fill("?edges=1&stream=1", "nodes 4\nconn 0 1 1 1\nconn 1 2 2 1\nconn 2 2 3 1\nconn 3 2 0 2\n")
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("status = %d, want 400 (streams are not fillable)", resp.StatusCode)
+	t.Run("any shape answers the record", func(t *testing.T) {
+		const cycle4 = "nodes 4\nconn 0 1 1 1\nconn 1 2 2 1\nconn 2 2 3 1\nconn 3 2 0 2\n"
+		g, err := graph.ReadGraph(strings.NewReader(cycle4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		alg, bound, err := spec.Algorithm("auto", g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first []byte
+		for _, query := range []string{"", "?edges=1", "?edges=1&stream=1"} {
+			resp, body := fill(query, cycle4)
+			if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+				t.Fatalf("%q: status %d, Content-Type %q (body %s)", query, resp.StatusCode, resp.Header.Get("Content-Type"), body)
+			}
+			if _, err := decodeFill(body, g, alg.Name(), bound); err != nil {
+				t.Errorf("%q: the answer is not a record: %v", query, err)
+			}
+			if first == nil {
+				first = body
+			} else if !bytes.Equal(body, first) {
+				t.Errorf("%q answered %s, want the record %s", query, body, first)
+			}
 		}
 	})
 	t.Run("draining answers 503", func(t *testing.T) {
@@ -442,6 +465,160 @@ func TestClusterFillEndpointHardening(t *testing.T) {
 			t.Errorf("second fill: X-Cache = %q, want hit", resp2.Header.Get("X-Cache"))
 		}
 	})
+}
+
+// lieAsOwner makes replica i answer every 200 fill with lie applied to
+// its body; every other response passes through untouched.
+func (f *fleet) lieAsOwner(i int, lie func(body []byte) []byte) {
+	honest := f.servers[i].Handler()
+	var h http.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/internal/v1/fill" {
+			honest.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		honest.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		if rec.Code == http.StatusOK {
+			body = lie(body)
+		}
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(body)
+	})
+	f.ts[i].Config.Handler.(*switchHandler).h.Store(&h)
+}
+
+// TestClusterRejectsLyingOwner injects one fault at a time into the
+// owner's fill answer. The non-owner must reject the record, count it,
+// answer from its own run exactly what an uncached server answers, and
+// cache nothing the owner sent. The honest case guards the injection:
+// an answer re-encoded without a fault must still be accepted, so every
+// rejection below is for its fault alone.
+func TestClusterRejectsLyingOwner(t *testing.T) {
+	// edit re-encodes the answer after change, newline-terminated like
+	// every answer, so that the fault is its only difference.
+	edit := func(change func(a *fillAnswer, g *graph.Graph)) func([]byte, *graph.Graph) []byte {
+		return func(body []byte, g *graph.Graph) []byte {
+			var a fillAnswer
+			if err := json.Unmarshal(body, &a); err != nil {
+				panic(fmt.Sprintf("the owner's own answer does not decode: %v", err))
+			}
+			change(&a, g)
+			out, err := json.Marshal(a)
+			if err != nil {
+				panic(err)
+			}
+			return append(out, '\n')
+		}
+	}
+	faults := []struct {
+		name string
+		lie  func(body []byte, g *graph.Graph) []byte
+	}{
+		{"honest", edit(func(*fillAnswer, *graph.Graph) {})},
+		{"empty D", edit(func(a *fillAnswer, _ *graph.Graph) {
+			// A consistent summary of a D that dominates nothing.
+			a.D, a.Edges, a.Dominating = make([]byte, len(a.D)), 0, false
+		})},
+		{"miscounted edges", edit(func(a *fillAnswer, _ *graph.Graph) { a.Edges++ })},
+		{"bit at or past m", edit(func(a *fillAnswer, g *graph.Graph) {
+			m := g.M()
+			a.D[8*(m/64)+m%64/8] |= 1 << (m % 8)
+		})},
+		{"d one byte short", edit(func(a *fillAnswer, _ *graph.Graph) { a.D = a.D[:len(a.D)-1] })},
+		{"wrong algorithm", edit(func(a *fillAnswer, _ *graph.Graph) { a.Algorithm = "alledges" })},
+		{"wrong bound", edit(func(a *fillAnswer, _ *graph.Graph) { a.Bound = "4" })},
+		{"negative rounds", edit(func(a *fillAnswer, _ *graph.Graph) { a.Rounds = -1 })},
+		{"more messages than rounds times ports", edit(func(a *fillAnswer, g *graph.Graph) {
+			a.Messages = a.Rounds*g.NumPorts() + 1
+		})},
+		{"dominating false", edit(func(a *fillAnswer, _ *graph.Graph) { a.Dominating = false })},
+		{"truncated JSON", func(body []byte, _ *graph.Graph) []byte {
+			return append(bytes.Clone(body[:len(body)/2]), '\n')
+		}},
+	}
+	for _, fault := range faults {
+		t.Run(fault.name, func(t *testing.T) {
+			f := startFleet(t, 3, nil)
+			// A cycle owned by replica 0 whose m is not a multiple of 64,
+			// so that a bit at m lies inside d's last word.
+			var g *graph.Graph
+			for k := 8; g == nil; k++ {
+				if c := gen.Cycle(k); k%64 != 0 && f.ownerIndex(t, c) == 0 {
+					g = c
+				}
+			}
+			body := graphBytes(t, g)
+			f.lieAsOwner(0, func(b []byte) []byte { return fault.lie(b, g) })
+			const query = "?alg=auto&edges=1"
+			want := uncachedBody(t, query, body)
+
+			honest := fault.name == "honest"
+			wantCache, wantRejected := "miss", int64(1)
+			if honest {
+				wantCache, wantRejected = "fill", 0
+			}
+			resp, got := postRun(t, f.ts[1].Client(), f.urls[1], query, body)
+			if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != wantCache || !bytes.Equal(got, want) {
+				t.Fatalf("status %d, X-Cache %q, body %s; want 200 %s with %s", resp.StatusCode, resp.Header.Get("X-Cache"), got, wantCache, want)
+			}
+			pc := f.statsz(t, 1).Cluster.Peers[f.urls[0]]
+			if pc.FillsSent != 1 || pc.FillsRejected != wantRejected || pc.Fallbacks != wantRejected {
+				t.Errorf("counters to the owner = %+v, want sent=1 rejected=%d fallbacks=%d", pc, wantRejected, wantRejected)
+			}
+			resp, got = postRun(t, f.ts[1].Client(), f.urls[1], query, body)
+			if resp.Header.Get("X-Cache") != "hit" || !bytes.Equal(got, want) {
+				t.Errorf("repeat: X-Cache %q, body %s; want a local hit with %s", resp.Header.Get("X-Cache"), got, want)
+			}
+			// Every record replica 1 holds answers what an uncached
+			// server does: none came from the lying owner.
+			c := f.servers[1].cache
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			for key, el := range c.items {
+				if rec := el.Value.(*cacheEntry).rec; !bytes.Equal(rec.body(shapeEdges), want) {
+					t.Errorf("cache entry %s holds %s, want %s", key, rec.body(shapeEdges), want)
+				}
+			}
+		})
+	}
+}
+
+// TestClusterFillMultigraph fills the corpus multigraph, with its
+// undirected and directed loops and parallel edges, from its owner:
+// buffered on one non-owner and streamed on the other, each with no
+// fallback and exactly an uncached server's answer.
+func TestClusterFillMultigraph(t *testing.T) {
+	f := startFleet(t, 3, nil)
+	var g *graph.Graph
+	for _, ng := range gen.EquivalenceCorpus() {
+		if ng.Name == "Multigraph/loops" {
+			g = ng.G
+		}
+	}
+	body := graphBytes(t, g)
+	owner := f.ownerIndex(t, g)
+	queries := []string{"?alg=alledges&edges=1", "?alg=alledges&edges=1&stream=1"}
+	for i := range f.servers {
+		if i == owner {
+			continue
+		}
+		query := queries[0]
+		queries = queries[1:]
+		resp, got := postRun(t, f.ts[i].Client(), f.urls[i], query, body)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "fill" {
+			t.Errorf("replica %d %s: status %d, X-Cache %q (body %s); want 200 fill", i, query, resp.StatusCode, resp.Header.Get("X-Cache"), got)
+		}
+		if want := uncachedBody(t, query, body); !bytes.Equal(got, want) {
+			t.Errorf("replica %d %s: body %s, want %s", i, query, got, want)
+		}
+		if pc := f.statsz(t, i).Cluster.Peers[f.urls[owner]]; pc.FillsRelayed != 1 || pc.FillsRejected != 0 || pc.Fallbacks != 0 {
+			t.Errorf("replica %d counters to the owner = %+v, want relayed=1 rejected=0 fallbacks=0", i, pc)
+		}
+	}
 }
 
 // logCapture is a slog.Handler that records every line, so tests can

@@ -3,8 +3,6 @@ package server
 import (
 	"sync"
 	"sync/atomic"
-
-	"eds/internal/graph"
 )
 
 // flightGroup coalesces in-flight /v1/run requests for one run: the
@@ -17,7 +15,7 @@ import (
 // serves repeats of *running* ones.
 //
 // Outcomes come in two classes. Deterministic outcomes — a run's
-// summary and D, or a run failure that is a function of the graph and
+// record, or a run failure that is a function of the graph and
 // algorithm alone (round limit, malformed send) — are shared with every
 // follower. Private outcomes — the leader's deadline expired, its
 // client went away, or its admission budget ran out — say nothing about
@@ -42,14 +40,12 @@ type flight struct {
 
 // flightResult is a request's run outcome, as a leader publishes it: a
 // private outcome makes followers retry; otherwise StatusOK carries the
-// run's summary (EdgeList omitted) and D, and any other code carries
-// msg.
+// run's record, and any other code carries msg.
 type flightResult struct {
 	private bool
 	code    int
 	msg     string
-	sum     RunResponse
-	d       *graph.EdgeSet
+	rec     *runRecord
 }
 
 func newFlightGroup() *flightGroup {

@@ -90,7 +90,7 @@ func TestServerCoalescingSharesDeterministicError(t *testing.T) {
 	s := New(Config{Workers: 4, CacheEntries: -1})
 	gate := make(chan struct{})
 	started := make(chan struct{}, 8)
-	s.runEngine = func(ctx context.Context, engine string, shards int, g *graph.Graph, a sim.Algorithm) (*sim.Result, sim.Timings, error) {
+	s.runEngine = func(ctx context.Context, g *graph.Graph, a sim.Algorithm) (*sim.Result, sim.Timings, error) {
 		started <- struct{}{}
 		<-gate
 		return nil, sim.Timings{}, errors.New("deterministic failure for this graph")
@@ -221,7 +221,7 @@ func TestServerSharedRunAcrossShapes(t *testing.T) {
 	shapes := []struct{ query, cache string }{
 		{"?alg=auto", "miss"},
 		{"?alg=auto&edges=1", "coalesced"},
-		{"?alg=auto&edges=1&stream=1", "bypass"},
+		{"?alg=auto&edges=1&stream=1", "coalesced"},
 	}
 	results := make([]served, len(shapes))
 	var wg sync.WaitGroup
@@ -265,7 +265,7 @@ func TestServerStreamFollowerRetriesAfterLeaderTimeout(t *testing.T) {
 	s := New(Config{Workers: 4, CacheEntries: -1})
 	joined := make(chan struct{})
 	var runs atomic.Int32
-	s.runEngine = func(ctx context.Context, engine string, shards int, g *graph.Graph, a sim.Algorithm) (*sim.Result, sim.Timings, error) {
+	s.runEngine = func(ctx context.Context, g *graph.Graph, a sim.Algorithm) (*sim.Result, sim.Timings, error) {
 		if runs.Add(1) == 1 {
 			// The leader holds its flight until the stream has joined
 			// it, then runs out its deadline.
@@ -275,7 +275,7 @@ func TestServerStreamFollowerRetriesAfterLeaderTimeout(t *testing.T) {
 			}
 			<-ctx.Done()
 		}
-		return defaultRunEngine(ctx, "sequential", 0, g, a)
+		return defaultRunEngine(ctx, g, a)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -300,8 +300,8 @@ func TestServerStreamFollowerRetriesAfterLeaderTimeout(t *testing.T) {
 		t.Errorf("leader status = %d, want 504", code)
 	}
 	got := <-follower
-	if got.code != http.StatusOK || got.cache != "bypass" {
-		t.Errorf("stream follower: status %d, X-Cache %q; want 200 bypass", got.code, got.cache)
+	if got.code != http.StatusOK || got.cache != "miss" {
+		t.Errorf("stream follower: status %d, X-Cache %q; want 200 miss", got.code, got.cache)
 	}
 	if want := uncachedBody(t, streamQuery, body); !bytes.Equal(got.body, want) {
 		t.Errorf("stream follower's body differs from an uncached server's:\n%s\nvs\n%s", got.body, want)

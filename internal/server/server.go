@@ -1,6 +1,6 @@
 // Package server implements edsd, the HTTP serving layer over the
 // simulation engines: clients POST a port-numbered graph in the
-// internal/graph wire format together with an algorithm/engine spec and
+// internal/graph wire format together with an algorithm spec and
 // receive the execution's statistics and solution summary as JSON.
 //
 // The server is built for sustained traffic, not one-shot runs:
@@ -12,9 +12,10 @@
 //     deadline (client-chosen via ?timeout=, capped by the server); the
 //     engines poll it at round barriers (sim.WithContext), so a
 //     timed-out run stops computing and returns 504;
-//   - result cache: an LRU keyed by the canonical graph digest plus the
-//     resolved algorithm, so identical requests are served byte-for-byte
-//     identically without re-running the engine;
+//   - result cache: an LRU of run records (one per graph digest and
+//     resolved algorithm, whatever the response shape), so identical
+//     requests are served byte-for-byte identically without re-running
+//     the engine;
 //   - request batching: in-flight requests for the same graph and
 //     resolved algorithm coalesce onto one engine run (singleflight),
 //     whatever response shape each asked for, and an optional batch
@@ -22,12 +23,14 @@
 //     window join the same run instead of racing it;
 //   - cluster tier: with a cluster.Cluster configured, each graph digest
 //     is owned by exactly one replica (rendezvous hashing); non-owners
-//     fetch results over POST /internal/v1/fill instead of recomputing,
-//     and degrade to local compute when the owner is unreachable;
+//     fetch the owner's run record over POST /internal/v1/fill instead
+//     of recomputing, verify it against their own decoded graph before
+//     caching it, and degrade to local compute when the owner is
+//     unreachable or its record fails verification;
 //   - streaming: ?edges=1&stream=1 answers in chunked NDJSON (a summary
 //     line followed by one line per edge), so a million-edge dominating
-//     set never materialises as one JSON body in memory; streams bypass
-//     the cache but share in-flight runs and the batch window;
+//     set never materialises as one JSON body in memory; streams are
+//     rendered from the same cached record as every other shape;
 //   - input hardening: request bodies are size-capped (413), and the
 //     graph decoder enforces node/port limits (graph.ReadGraphLimits)
 //     so hostile inputs cannot OOM the process — on the public endpoint
@@ -44,8 +47,8 @@
 //
 // Endpoints:
 //
-//	POST /v1/run?alg=S&engine=E&shards=P&timeout=D&edges=1&stream=1   body: graph
-//	POST /internal/v1/fill?...   same contract, peer-to-peer (never re-forwards)
+//	POST /v1/run?alg=S&timeout=D&edges=1&stream=1   body: graph
+//	POST /internal/v1/fill?...   same request, peer-to-peer (never re-forwards); answers the run record
 //	GET  /healthz   (readiness, kept for compatibility)
 //	GET  /livez
 //	GET  /readyz
@@ -64,7 +67,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"strconv"
 	"time"
 
 	"eds/internal/cluster"
@@ -72,7 +74,6 @@ import (
 	"eds/internal/ratio"
 	"eds/internal/sim"
 	"eds/internal/spec"
-	"eds/internal/verify"
 )
 
 // StatusClientClosedRequest is the de-facto status (nginx's 499) for a
@@ -171,10 +172,10 @@ type Server struct {
 
 	draining chan struct{} // closed by StartDraining
 
-	// runEngine executes a parsed request on an engine and reports the
-	// run's setup/rounds/outputs wall-time split; tests substitute it to
-	// script slow or failing runs deterministically.
-	runEngine func(ctx context.Context, engine string, shards int, g *graph.Graph, a sim.Algorithm) (*sim.Result, sim.Timings, error)
+	// runEngine runs a on g and reports the run's setup/rounds/outputs
+	// wall-time split; tests substitute it to script slow or failing
+	// runs deterministically.
+	runEngine func(ctx context.Context, g *graph.Graph, a sim.Algorithm) (*sim.Result, sim.Timings, error)
 }
 
 // New returns a Server with the given configuration.
@@ -240,24 +241,20 @@ func (s *Server) isDraining() bool {
 	}
 }
 
-func defaultRunEngine(ctx context.Context, engine string, shards int, g *graph.Graph, a sim.Algorithm) (*sim.Result, sim.Timings, error) {
+// defaultRunEngine runs a on g with sim.RunAuto, the one engine policy
+// edsd uses. Every engine RunAuto can pick returns the same Result (the
+// cross-engine suite holds them to it), so a run record depends on the
+// graph and the algorithm alone, and that is all the cache keys name.
+func defaultRunEngine(ctx context.Context, g *graph.Graph, a sim.Algorithm) (*sim.Result, sim.Timings, error) {
 	var split sim.Timings
-	opts := []sim.Option{sim.WithContext(ctx), sim.WithShards(shards), sim.WithTimings(&split)}
-	if engine == "auto" {
-		res, err := sim.RunAuto(g, a, opts...)
-		return res, split, err
-	}
-	run, ok := sim.Engines()[engine]
-	if !ok {
-		return nil, split, fmt.Errorf("server: unknown engine %q", engine)
-	}
-	res, err := run(g, a, opts...)
+	res, err := sim.RunAuto(g, a, sim.WithContext(ctx), sim.WithTimings(&split))
 	return res, split, err
 }
 
 // RunResponse is the JSON body of a successful POST /v1/run. In
 // streaming mode it is the first NDJSON line, with EdgeList omitted and
-// Edges announcing how many edge lines follow.
+// Edges announcing how many edge lines follow. A fill answer is the
+// same summary followed by D's words (fillAnswer).
 type RunResponse struct {
 	Algorithm  string   `json:"algorithm"`
 	N          int      `json:"n"`
@@ -283,36 +280,19 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 
 // runRequest is one parsed and validated /v1/run request.
 type runRequest struct {
-	algSpec      string
-	engine       string
-	shards       int
-	timeout      time.Duration
-	includeEdges bool
-	stream       bool
+	algSpec string
+	timeout time.Duration
+	shape   shape
 }
 
 func (s *Server) parseRunRequest(r *http.Request) (runRequest, error) {
 	q := r.URL.Query()
 	req := runRequest{
 		algSpec: q.Get("alg"),
-		engine:  q.Get("engine"),
 		timeout: s.cfg.DefaultTimeout,
 	}
 	if req.algSpec == "" {
 		req.algSpec = "auto"
-	}
-	if req.engine == "" {
-		req.engine = "auto"
-	}
-	if _, ok := sim.Engines()[req.engine]; !ok && req.engine != "auto" {
-		return req, fmt.Errorf("unknown engine %q", req.engine)
-	}
-	if v := q.Get("shards"); v != "" {
-		p, err := strconv.Atoi(v)
-		if err != nil {
-			return req, fmt.Errorf("bad shards %q: %v", v, err)
-		}
-		req.shards = p
 	}
 	if v := q.Get("timeout"); v != "" {
 		d, err := time.ParseDuration(v)
@@ -328,39 +308,39 @@ func (s *Server) parseRunRequest(r *http.Request) (runRequest, error) {
 		req.timeout = s.cfg.MaxTimeout
 	}
 	if v := q.Get("edges"); v != "" && v != "0" && v != "false" {
-		req.includeEdges = true
+		req.shape = shapeEdges
 	}
 	if v := q.Get("stream"); v != "" && v != "0" && v != "false" {
-		if !req.includeEdges {
+		if req.shape != shapeEdges {
 			return req, errors.New("stream=1 requires edges=1 (only the edge list is worth streaming)")
 		}
-		req.stream = true
+		req.shape = shapeStream
 	}
 	return req, nil
 }
 
-// The result cache is probed at two levels:
+// The result cache holds one run record under two keys:
 //
 //	raw key       — sha256 of the request body bytes plus the literal
-//	                ?alg= spec and response shape. Probed before any
-//	                decoding, so a byte-identical replay is served with a
-//	                bounded allocation cost independent of graph size
-//	                (the alloc regression test pins the budget).
+//	                ?alg= spec. Probed before any decoding, so a
+//	                byte-identical replay is served with a bounded
+//	                allocation cost independent of graph size (the alloc
+//	                regression test pins the budget).
 //	canonical key — graph.Digest of the decoded graph's flat structure
 //	                plus the resolved algorithm name. Two wire forms of
 //	                the same graph (comments, whitespace, reordered conn
 //	                lines) decode to identical port-offset and routing
 //	                arrays, so they collide here as they should, as do
-//	                alg=auto and its explicit resolution. The same digest
-//	                is what the cluster tier rendezvous-hashes to pick the
-//	                graph's owner, so cache identity and ownership can
+//	                alg=auto and its explicit resolution. The same key
+//	                names the run's flight, and the same digest is what
+//	                the cluster tier rendezvous-hashes to pick the graph's
+//	                owner, so cache identity, coalescing and ownership can
 //	                never disagree.
 //
-// Engine and shard count are deliberately excluded from both keys: every
-// engine returns identical results, which the cross-engine equivalence
-// suite enforces.
-func cacheKey(sum [sha256.Size]byte, algName string, includeEdges bool) string {
-	return fmt.Sprintf("%x|%s|%v", sum, algName, includeEdges)
+// Neither key names a response shape: every shape renders from the one
+// record.
+func cacheKey(sum [sha256.Size]byte, algName string) string {
+	return fmt.Sprintf("%x|%s", sum, algName)
 }
 
 // acquire admits the request into the worker pool, waiting in the
@@ -407,14 +387,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 // handleFill is the peer-to-peer side of the cluster tier: a non-owner
 // replica that missed its cache asks this replica — the digest's owner —
-// for the result. The handler is deliberately the same code path as the
-// public endpoint minus routing: the same body cap, the same
+// for the run record. The handler is deliberately the same code path as
+// the public endpoint minus routing: the same body cap, the same
 // graph.ReadGraphLimits, the same cache keys, the same admission queue
 // and flight group (so fills, local clients, and the batch window all
-// coalesce onto one engine run). It never forwards: whatever this
-// replica believes about ownership, a fill is answered locally, which
-// makes routing loops impossible even when replicas' health views
-// disagree.
+// coalesce onto one engine run). Whatever shape the query names, it
+// answers the record (shapeFill), which the asking replica verifies and
+// renders itself. It never forwards: whatever this replica believes
+// about ownership, a fill is answered locally, which makes routing loops
+// impossible even when replicas' health views disagree.
 func (s *Server) handleFill(w http.ResponseWriter, r *http.Request) {
 	if peer := r.Header.Get("X-Eds-Peer"); peer != "" {
 		s.st.recordFillServed(peer)
@@ -423,7 +404,7 @@ func (s *Server) handleFill(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveRun is the shared request path. isFill marks a peer fill, which
-// is never re-forwarded and may not stream.
+// is never re-forwarded and always answers the record.
 func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, isFill bool) {
 	if s.isDraining() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
@@ -434,12 +415,8 @@ func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, isFill bool) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if req.stream && isFill {
-		// Streams are served by the replica the client is talking to
-		// (their bodies are not cacheable, so ownership buys nothing);
-		// peers have no business requesting one.
-		writeError(w, http.StatusBadRequest, "stream=1 is not valid on the fill endpoint")
-		return
+	if isFill {
+		req.shape = shapeFill
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
@@ -453,16 +430,12 @@ func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, isFill bool) {
 	}
 
 	// First-level cache probe on the raw bytes: a byte-identical replay
-	// is served without decoding or canonicalising anything. Streaming
-	// requests bypass the cache — their value is exactly that no
-	// complete body ever exists to cache.
-	rawKey := cacheKey(sha256.Sum256(body), req.algSpec, req.includeEdges)
-	if !req.stream {
-		if cached, ok := s.cache.get(rawKey); ok {
-			s.st.recordCache(true)
-			serveCached(w, cached)
-			return
-		}
+	// is served without decoding or canonicalising anything.
+	rawKey := cacheKey(sha256.Sum256(body), req.algSpec)
+	if rec, ok := s.cache.get(rawKey); ok {
+		s.st.recordCache(true)
+		s.render(w, rec, req.shape, "hit")
+		return
 	}
 
 	g, err := graph.ReadGraphLimits(bytes.NewReader(body), s.cfg.Limits)
@@ -485,16 +458,14 @@ func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, isFill bool) {
 	// already-served graph hits here; the raw key is backfilled so the
 	// next byte-identical replay takes the cheap path.
 	digest := graph.Digest(g)
-	key := cacheKey(digest, alg.Name(), req.includeEdges)
-	if !req.stream {
-		if cached, ok := s.cache.get(key); ok {
-			s.st.recordCache(true)
-			s.cache.put(rawKey, cached)
-			serveCached(w, cached)
-			return
-		}
-		s.st.recordCache(false)
+	key := cacheKey(digest, alg.Name())
+	if rec, ok := s.cache.get(key); ok {
+		s.st.recordCache(true)
+		s.cache.put(rawKey, rec)
+		s.render(w, rec, req.shape, "hit")
+		return
 	}
+	s.st.recordCache(false)
 
 	// The deadline starts before admission: time spent waiting for a
 	// worker, for the batch window, for the in-flight run it joined, or
@@ -505,91 +476,74 @@ func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, isFill bool) {
 
 	// Cluster routing: a cache miss for a digest owned elsewhere is
 	// filled from the owner instead of recomputed. Fills themselves
-	// never re-forward, streams are served where they arrive, and any
-	// failure degrades to local compute.
-	if s.cfg.Cluster != nil && !isFill && !req.stream {
+	// never re-forward, and any failure, a record that fails
+	// verification included, degrades to local compute.
+	if s.cfg.Cluster != nil && !isFill {
 		if owner, self := s.cfg.Cluster.Owner(digest[:]); !self {
-			if s.forwardFill(ctx, w, r, owner, body, key, rawKey) {
+			if s.forwardFill(ctx, w, r, owner, body, g, alg.Name(), bound, req.shape, key, rawKey) {
 				return
 			}
 			s.st.recordFallback(owner)
 		}
 	}
 
-	out, class := s.run(ctx, req, g, alg, bound, digest)
+	out, class := s.run(ctx, req, g, alg, bound, key)
 	if out.code != http.StatusOK {
 		writeError(w, out.code, "%s", out.msg)
 		return
 	}
-	if req.stream {
-		s.writeStream(w, g, out.sum, out.d)
-		return
-	}
-	sum := out.sum
-	if req.includeEdges {
-		sum.EdgeList = make([][2]int, 0, sum.Edges)
-		for _, idx := range out.d.Indices() {
-			e := g.Edge(idx)
-			sum.EdgeList = append(sum.EdgeList, [2]int{e.U(), e.V()})
-		}
-	}
-	respBody, err := marshalLine(sum)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	s.cache.put(key, respBody)
-	s.cache.put(rawKey, respBody)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cache", class)
-	w.Write(respBody)
+	s.cache.put(key, out.rec)
+	s.cache.put(rawKey, out.rec)
+	s.render(w, out.rec, req.shape, class)
 }
 
-// serveCached writes a cache hit.
-func serveCached(w http.ResponseWriter, cached []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cache", "hit")
-	w.Write(cached)
-}
-
-// forwardFill asks the owner replica for this request's result and
-// relays the answer. It reports whether the response was written; false
-// means the owner was unavailable and the caller must compute locally.
-func (s *Server) forwardFill(ctx context.Context, w http.ResponseWriter, r *http.Request, owner string, body []byte, key, rawKey string) bool {
-	s.st.recordFillSent(owner)
-	resp, err := s.cfg.Cluster.Fill(ctx, owner, requestIDFrom(r.Context()), r.URL.RawQuery, body)
-	if err != nil {
+// forwardFill asks the owner replica for this request's run record and
+// answers the client from it. Only a record decodeFill has verified
+// against g is cached, under key and rawKey; the owner's deterministic
+// errors (400, 413, 500, 504) are relayed verbatim and never cached. It
+// reports whether the response was written; false means the owner was
+// unavailable or its record failed verification, and the caller must
+// compute locally.
+func (s *Server) forwardFill(ctx context.Context, w http.ResponseWriter, r *http.Request, owner string, body []byte,
+	g *graph.Graph, alg string, bound *ratio.R, sh shape, key, rawKey string) bool {
+	id := requestIDFrom(r.Context())
+	fallback := func(cause string) bool {
 		s.cfg.Logger.LogAttrs(ctx, slog.LevelWarn, "fill fallback",
-			slog.String("id", requestIDFrom(r.Context())),
-			slog.String("owner", owner),
-			slog.String("cause", err.Error()))
+			slog.String("id", id), slog.String("owner", owner), slog.String("cause", cause))
 		return false
+	}
+	s.st.recordFillSent(owner)
+	resp, err := s.cfg.Cluster.Fill(ctx, owner, id, r.URL.RawQuery, body)
+	if err != nil {
+		return fallback(err.Error())
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(resp.Body)
+	answer, err := io.ReadAll(resp.Body)
 	if err != nil {
-		s.cfg.Logger.LogAttrs(ctx, slog.LevelWarn, "fill fallback",
-			slog.String("id", requestIDFrom(r.Context())),
-			slog.String("owner", owner),
-			slog.String("cause", "reading fill body: "+err.Error()))
-		return false
+		return fallback("reading fill body: " + err.Error())
+	}
+	var rec *runRecord
+	if resp.StatusCode == http.StatusOK {
+		if rec, err = decodeFill(answer, g, alg, bound); err != nil {
+			s.st.recordFillRejected(owner)
+			return fallback("fill rejected: " + err.Error())
+		}
 	}
 	s.st.recordFillRelayed(owner)
-	if resp.StatusCode == http.StatusOK {
-		// The owner's answer becomes a local cache entry under both
-		// keys, so this replica serves every repeat itself — the
-		// groupcache property: one compute, N caches.
-		s.cache.put(key, respBody)
-		s.cache.put(rawKey, respBody)
-	}
-	w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
-	w.Header().Set("X-Cache", "fill")
 	w.Header().Set("X-Eds-Owner", owner)
 	if oc := resp.Header.Get("X-Cache"); oc != "" {
 		w.Header().Set("X-Fill-Cache", oc)
 	}
+	if rec != nil {
+		s.cache.put(key, rec)
+		s.cache.put(rawKey, rec)
+		s.render(w, rec, sh, "fill")
+		return true
+	}
+	w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
+	w.Header().Set("X-Cache", "fill")
 	w.WriteHeader(resp.StatusCode)
-	w.Write(respBody)
+	w.Write(answer)
 	return true
 }
 
@@ -597,15 +551,13 @@ func (s *Server) forwardFill(ctx context.Context, w http.ResponseWriter, r *http
 // a successful answer: miss for the request that ran the engine,
 // coalesced for one that shared its run.
 //
-// Singleflight on (graph digest, resolved algorithm): a run depends on
+// Singleflight on key, the run's canonical cache key: a run depends on
 // nothing else, so requests of every response shape share it, and each
-// renders its own shape from the shared summary and D with its own
-// decoded graph (an equal digest means equal edge indices). The first
-// request leads; requests arriving while it is in flight wait for its
-// outcome instead of taking worker slots of their own. Followers whose
-// leader ended privately loop and take the lead themselves.
-func (s *Server) run(ctx context.Context, req runRequest, g *graph.Graph, alg sim.Algorithm, bound *ratio.R, digest [sha256.Size]byte) (flightResult, string) {
-	key := fmt.Sprintf("%x|%s", digest, alg.Name())
+// renders its own shape from the shared record. The first request
+// leads; requests arriving while it is in flight wait for its outcome
+// instead of taking worker slots of their own. Followers whose leader
+// ended privately loop and take the lead themselves.
+func (s *Server) run(ctx context.Context, req runRequest, g *graph.Graph, alg sim.Algorithm, bound *ratio.R, key string) (flightResult, string) {
 	for {
 		f, leader := s.flights.join(key)
 		if leader {
@@ -663,7 +615,7 @@ func (s *Server) lead(ctx context.Context, req runRequest, g *graph.Graph, alg s
 	}
 	defer release()
 
-	res, split, err := s.runEngine(ctx, req.engine, req.shards, g, alg)
+	res, split, err := s.runEngine(ctx, g, alg)
 	if errors.Is(err, sim.ErrCanceled) {
 		return ended(err, fmt.Sprintf("run exceeded its %s deadline", req.timeout), "client canceled the run")
 	}
@@ -671,31 +623,7 @@ func (s *Server) lead(ctx context.Context, req runRequest, g *graph.Graph, alg s
 		return flightResult{code: http.StatusInternalServerError, msg: err.Error()}
 	}
 	s.st.recordRun(alg.Name(), split)
-
-	d := res.Outputs
-	sum := RunResponse{
-		Algorithm:  alg.Name(),
-		N:          g.N(),
-		M:          g.M(),
-		Rounds:     res.Rounds,
-		Messages:   res.Messages,
-		Edges:      d.Count(),
-		Dominating: verify.IsEdgeDominatingSet(g, d),
-	}
-	if bound != nil {
-		sum.Bound = bound.String()
-	}
-	return flightResult{code: http.StatusOK, sum: sum, d: d}
-}
-
-// marshalLine encodes one JSON response line: a buffered body, or the
-// summary line of a stream.
-func marshalLine(resp RunResponse) ([]byte, error) {
-	body, err := json.Marshal(resp)
-	if err != nil {
-		return nil, err
-	}
-	return append(body, '\n'), nil
+	return flightResult{code: http.StatusOK, rec: newRunRecord(g, alg.Name(), bound, res.Rounds, res.Messages, res.Outputs)}
 }
 
 // handleLivez is the liveness probe: 200 for as long as the process can

@@ -79,7 +79,7 @@ func TestServerHappyPath(t *testing.T) {
 	defer ts.Close()
 
 	g := gen.Cycle(12)
-	resp, body := postRun(t, ts.Client(), ts.URL, "?alg=auto&engine=auto&edges=1", graphBytes(t, g))
+	resp, body := postRun(t, ts.Client(), ts.URL, "?alg=auto&edges=1", graphBytes(t, g))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
 	}
@@ -106,16 +106,11 @@ func TestServerHappyPath(t *testing.T) {
 		t.Error("bound missing for a regular graph")
 	}
 
-	// Every engine name must be accepted and agree.
-	for _, engine := range []string{"sequential", "sharded"} {
-		resp, body2 := postRun(t, ts.Client(), ts.URL, "?alg=portone&engine="+engine, graphBytes(t, g))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("engine %s: status = %d, body %s", engine, resp.StatusCode, body2)
-		}
-		rr2 := decodeRun(t, body2)
-		if rr2.Edges != rr.Edges || rr2.Rounds != rr.Rounds || rr2.Messages != rr.Messages {
-			t.Errorf("engine %s disagrees: %+v vs %+v", engine, rr2, rr)
-		}
+	// edsd always runs sim.RunAuto, so engine and shards are ignored
+	// like any other unrecognised parameter: the same record answers.
+	resp, body2 := postRun(t, ts.Client(), ts.URL, "?alg=auto&engine=quantum&shards=many&edges=1", graphBytes(t, g))
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "hit" || !bytes.Equal(body2, body) {
+		t.Errorf("engine and shards not ignored: status %d, X-Cache %q, body %s", resp.StatusCode, resp.Header.Get("X-Cache"), body2)
 	}
 }
 
@@ -194,6 +189,33 @@ func TestServerBoundIndependentOfSpelling(t *testing.T) {
 	}
 }
 
+// TestServerPortOneOnEdgelessGraph: PortOne on a graph without edges
+// is answered like any run, with D = ∅ and Table 1's bound 1, and
+// /statsz counts it.
+func TestServerPortOneOnEdgelessGraph(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+	resp, body := postRun(t, ts.Client(), ts.URL, "?alg=portone&edges=1", []byte("nodes 3\n"))
+	if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"bound":"1"`)) {
+		t.Fatalf("status %d, body %s; want 200 with \"bound\":\"1\"", resp.StatusCode, body)
+	}
+	if rr := decodeRun(t, body); rr.Algorithm != "portone" || rr.Edges != 0 || !rr.Dominating {
+		t.Errorf("got %+v, want portone with no edges, dominating", rr)
+	}
+	sresp, err := ts.Client().Get(ts.URL + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sresp.Body.Close()
+	var st statszResponse
+	if err := json.NewDecoder(sresp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Requests.ByStatus["200"] != 1 {
+		t.Errorf("by_status = %v, want one 200", st.Requests.ByStatus)
+	}
+}
+
 func TestServerBadRequests(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -210,11 +232,8 @@ func TestServerBadRequests(t *testing.T) {
 		{"conn before nodes", "", "conn 0 1 1 1\n", http.StatusBadRequest},
 		{"empty body", "", "", http.StatusBadRequest},
 		{"unknown algorithm", "?alg=zigzag", string(cycle), http.StatusBadRequest},
-		{"unknown engine", "?engine=quantum", string(cycle), http.StatusBadRequest},
-		{"concurrent engine", "?engine=concurrent", string(cycle), http.StatusBadRequest},
 		{"bad timeout", "?timeout=soon", string(cycle), http.StatusBadRequest},
 		{"negative timeout", "?timeout=-5s", string(cycle), http.StatusBadRequest},
-		{"bad shards", "?shards=many", string(cycle), http.StatusBadRequest},
 		{"alg incompatible with graph", "?alg=regularodd", string(cycle), http.StatusBadRequest},
 		{"idmatching over a self-loop", "?alg=idmatching", "nodes 1\nconn 0 1 0 2\n", http.StatusBadRequest},
 		{"idmatching over crossed parallel edges", "?alg=idmatching", "nodes 2\nconn 0 1 1 2\nconn 0 2 1 1\n", http.StatusBadRequest},
@@ -279,11 +298,11 @@ func gateServer(cfg Config) (*Server, chan struct{}, chan struct{}) {
 	s := New(cfg)
 	gate := make(chan struct{})
 	started := make(chan struct{}, 64)
-	s.runEngine = func(ctx context.Context, engine string, shards int, g *graph.Graph, a sim.Algorithm) (*sim.Result, sim.Timings, error) {
+	s.runEngine = func(ctx context.Context, g *graph.Graph, a sim.Algorithm) (*sim.Result, sim.Timings, error) {
 		started <- struct{}{}
 		select {
 		case <-gate:
-			return defaultRunEngine(ctx, "sequential", 0, g, a)
+			return defaultRunEngine(ctx, g, a)
 		case <-ctx.Done():
 			// Produce the exact error a real engine would.
 			res, err := sim.RunSequential(g, a, sim.WithContext(ctx))
@@ -523,19 +542,20 @@ func TestServerPprofGating(t *testing.T) {
 
 func TestResultCacheLRU(t *testing.T) {
 	c := newResultCache(2)
-	c.put("a", []byte("A"))
-	c.put("b", []byte("B"))
+	a, b, cc := &runRecord{}, &runRecord{}, &runRecord{}
+	c.put("a", a)
+	c.put("b", b)
 	if _, ok := c.get("a"); !ok {
 		t.Fatal("a evicted too early")
 	}
-	c.put("c", []byte("C")) // evicts b (a was just used)
+	c.put("c", cc) // evicts b (a was just used)
 	if _, ok := c.get("b"); ok {
 		t.Error("b should have been evicted")
 	}
-	if v, ok := c.get("a"); !ok || string(v) != "A" {
+	if v, ok := c.get("a"); !ok || v != a {
 		t.Error("a lost")
 	}
-	if v, ok := c.get("c"); !ok || string(v) != "C" {
+	if v, ok := c.get("c"); !ok || v != cc {
 		t.Error("c lost")
 	}
 	if c.len() != 2 {
@@ -594,10 +614,12 @@ func TestLoadSmoke(t *testing.T) {
 				// covers the queueing, not just their own run.
 				query := "?timeout=5m"
 				if wantCancel {
-					// edges=1 gives these a cache key of their own; they
-					// must never be answered from entries the successful
-					// requests populated, or the 504 assertion is moot.
-					query = "?timeout=1ns&edges=1"
+					// alg=general resolves to general(Δ=3), not auto's
+					// regularodd, so these have a cache key of their own;
+					// they must never be answered from the record the
+					// successful requests cached (a hit ignores the
+					// deadline), or the 504 assertion is moot.
+					query = "?timeout=1ns&alg=general"
 				}
 				start := time.Now()
 				resp, err := ts.Client().Post(ts.URL+"/v1/run"+query, "text/plain", bytes.NewReader(body))

@@ -69,18 +69,21 @@ func (h *histogram) snapshot() histogramSnapshot {
 }
 
 // peerCounters tracks this replica's traffic with one peer, keyed by the
-// peer's base URL. Sent/relayed/fallbacks count this replica acting as
-// a non-owner (client of the fill protocol); served counts it acting as
-// the owner for that peer.
+// peer's base URL. Sent/relayed/rejected/fallbacks count this replica
+// acting as a non-owner (client of the fill protocol); served counts it
+// acting as the owner for that peer.
 type peerCounters struct {
 	// FillsSent is the number of fill requests this replica addressed to
 	// the peer (each with its own retry budget).
 	FillsSent int64 `json:"fills_sent"`
 	// FillsRelayed is how many of those produced an answer relayed to
-	// the client — a cached or computed 200, or a deterministic error.
+	// the client — a verified record, or a deterministic error.
 	FillsRelayed int64 `json:"fills_relayed"`
-	// Fallbacks is how many fills failed (peer unreachable, draining, or
-	// saturated) and degraded to local compute.
+	// FillsRejected is how many of those answered a record that failed
+	// verification against this replica's own decoding of the graph.
+	FillsRejected int64 `json:"fills_rejected"`
+	// Fallbacks is how many fills failed (peer unreachable, draining,
+	// saturated, or its record rejected) and degraded to local compute.
 	Fallbacks int64 `json:"fallbacks"`
 	// FillsServed is the number of fill requests this replica answered
 	// as the owner on the peer's behalf.
@@ -206,6 +209,12 @@ func (s *stats) recordFillSent(base string) {
 func (s *stats) recordFillRelayed(base string) {
 	s.mu.Lock()
 	s.peer(base).FillsRelayed++
+	s.mu.Unlock()
+}
+
+func (s *stats) recordFillRejected(base string) {
+	s.mu.Lock()
+	s.peer(base).FillsRejected++
 	s.mu.Unlock()
 }
 

@@ -1,6 +1,6 @@
 // Streaming-path suite: ?edges=1&stream=1 must deliver the same edge
-// set as the buffered JSON path, as chunked NDJSON, without touching
-// the result cache, and must still answer parse/admission errors as
+// set as the buffered JSON path, as chunked NDJSON rendered from the
+// same cached record, and must still answer parse/admission errors as
 // plain JSON before the first byte of stream leaves.
 package server
 
@@ -55,8 +55,8 @@ func TestStreamNDJSONMatchesBufferedResponse(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Errorf("Content-Type = %q, want application/x-ndjson", ct)
 	}
-	if c := resp.Header.Get("X-Cache"); c != "bypass" {
-		t.Errorf("X-Cache = %q, want bypass", c)
+	if c := resp.Header.Get("X-Cache"); c != "miss" {
+		t.Errorf("X-Cache = %q, want miss", c)
 	}
 	summary, edges := parseStream(t, streamBody)
 	if summary.EdgeList != nil {
@@ -69,14 +69,14 @@ func TestStreamNDJSONMatchesBufferedResponse(t *testing.T) {
 		t.Error("streamed result is not a dominating set")
 	}
 
-	// The stream must not have seeded the cache: the buffered request for
-	// the same graph is a miss, and its edge list matches the stream's.
+	// The stream cached its run's record: the buffered request for the
+	// same graph is a hit, and its edge list matches the stream's.
 	resp2, bufBody := postRun(t, ts.Client(), ts.URL, "?alg=auto&edges=1", body)
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("buffered status = %d", resp2.StatusCode)
 	}
-	if c := resp2.Header.Get("X-Cache"); c != "miss" {
-		t.Errorf("buffered X-Cache after a stream = %q, want miss (streams bypass the cache)", c)
+	if c := resp2.Header.Get("X-Cache"); c != "hit" {
+		t.Errorf("buffered X-Cache after a stream = %q, want hit (the stream cached its record)", c)
 	}
 	buffered := decodeRun(t, bufBody)
 	if len(buffered.EdgeList) != len(edges) {

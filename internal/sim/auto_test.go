@@ -45,21 +45,6 @@ func TestEngineChoiceBoundary(t *testing.T) {
 	}
 }
 
-// TestEngineChoiceNamesAreEngines guards the contract that every name
-// EngineChoice can return resolves in the Engines registry (the server
-// and CLI look the choice up there).
-func TestEngineChoiceNamesAreEngines(t *testing.T) {
-	reg := Engines()
-	for _, choice := range []string{
-		EngineChoice(10, 20, 1),
-		EngineChoice(1_000_000, 3_000_000, 8),
-	} {
-		if _, ok := reg[choice]; !ok {
-			t.Errorf("EngineChoice returned %q, which is not in Engines()", choice)
-		}
-	}
-}
-
 // TestRunAutoMatchesEngineChoice runs RunAuto on graphs straddling the
 // boundary and checks the result matches the sequential engine —
 // whatever engine the policy picked, Results must be identical.

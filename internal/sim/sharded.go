@@ -55,15 +55,6 @@ func RunAuto(g *graph.Graph, a Algorithm, opts ...Option) (*Result, error) {
 	return RunSequential(g, a, opts...)
 }
 
-// Engines returns the named engine entry points, the single registry
-// edsd and tooling resolve engine names against.
-func Engines() map[string]func(*graph.Graph, Algorithm, ...Option) (*Result, error) {
-	return map[string]func(*graph.Graph, Algorithm, ...Option) (*Result, error){
-		"sequential": RunSequential,
-		"sharded":    RunSharded,
-	}
-}
-
 // WithShards sets the number of worker shards used by RunSharded. Values
 // <= 0 select runtime.GOMAXPROCS(0). The shard count never affects the
 // Result, only the parallelism.

@@ -416,19 +416,6 @@ func TestRunAutoHonoursRoundHook(t *testing.T) {
 	}
 }
 
-func TestEnginesRegistryComplete(t *testing.T) {
-	want := []string{"sequential", "sharded"}
-	reg := Engines()
-	if len(reg) != len(want) {
-		t.Fatalf("registry has %d engines, want %d", len(reg), len(want))
-	}
-	for _, name := range want {
-		if reg[name] == nil {
-			t.Errorf("registry missing engine %q", name)
-		}
-	}
-}
-
 func TestIsolatedNodes(t *testing.T) {
 	// Degree-0 nodes send and receive nothing but still run rounds and
 	// terminate with an empty output.

@@ -118,7 +118,13 @@ func Algorithm(spec string, g *graph.Graph) (sim.Algorithm, *ratio.R, error) {
 		alg, r := ForGraph(g)
 		return alg, &r, nil
 	case "portone":
-		if d, ok := g.Regular(); ok {
+		d, ok := g.Regular()
+		switch {
+		case ok && d == 0:
+			// No edges: D = ∅ is optimal, and 1 is Table 1's bound for
+			// Δ <= 1, as auto, general and alledges report.
+			return core.PortOne{}, bound(ratio.FromInt(1)), nil
+		case ok:
 			return core.PortOne{}, bound(ratio.EvenRegularBound(d)), nil
 		}
 		return core.PortOne{}, nil, nil

@@ -135,4 +135,10 @@ func TestBoundFollowsResolvedAlgorithm(t *testing.T) {
 	if _, bound, err := Algorithm("alledges", cycle); err != nil || bound != nil {
 		t.Errorf("alledges on a cycle: bound %v, err %v; want no bound", bound, err)
 	}
+	// An edgeless graph is 0-regular: PortOne's even-regular bound
+	// would divide by zero, and D = ∅ is optimal, so the bound is 1.
+	edgeless := graph.MustFromUndirected(3, nil)
+	if alg, bound, err := Algorithm("portone", edgeless); err != nil || alg.Name() != "portone" || bound == nil || bound.String() != "1" {
+		t.Errorf("portone on an edgeless graph: %v with bound %v, err %v; want portone with bound 1", alg, bound, err)
+	}
 }
